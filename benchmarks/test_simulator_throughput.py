@@ -134,8 +134,8 @@ def _mcf_run(engine: str, warmup: int = 1_000_000,
     The first ``warmup`` instructions are excluded from the timed window
     so the trace tier's one-time ``exec`` compilation cost (and every
     engine's cold caches) don't dominate a 2M-instruction measurement;
-    cold-start behaviour is tracked separately by ``eager_leaders``/
-    ``deopt_cold`` in the published trace stats.
+    cold-start behaviour is tracked separately by ``deopt_cold`` in the
+    published trace stats.
     """
     from repro.mcf.instance import encode_instance, generate_instance
     from repro.mcf.sources import LayoutVariant

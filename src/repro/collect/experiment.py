@@ -498,11 +498,6 @@ class Experiment:
             self._journal_write("truth.jsonl", truth_event.to_json())
         return path
 
-    @property
-    def journal_dir(self) -> Optional[Path]:
-        """Where the journal streams to (None when in-memory)."""
-        return self._journal_dir
-
     def _journal_write(self, filename: str, line: str) -> None:
         stream = self._streams.get(filename)
         if stream is None:

@@ -14,7 +14,7 @@ Two presets matter:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ReproError
 
@@ -108,11 +108,6 @@ class MachineConfig:
         if self.thread_stack_bytes < 4096:
             raise ReproError("thread_stack_bytes must be >= 4096")
 
-    def with_heap_page_bytes(self, page_bytes: int) -> "MachineConfig":
-        """Convenience for `-xpagesize_heap=...` style experiments."""
-        _require_power_of_two(page_bytes, "heap page size")
-        return replace(self, dtlb=replace(self.dtlb))  # page size is per-segment
-
 
 @dataclass(frozen=True)
 class TraceEngineConfig:
@@ -121,8 +116,7 @@ class TraceEngineConfig:
     These only affect *how much* code gets compiled into superblocks and
     how the interpreter falls back — never what the simulation observes;
     any setting (including ``hot_threshold=2**30``, which disables
-    compilation of computed-jump targets entirely) produces bit-identical
-    journals.
+    compilation entirely) produces bit-identical journals.
     """
 
     #: dynamic entries at a leader before it is compiled; 32 keeps the
@@ -133,14 +127,11 @@ class TraceEngineConfig:
     #: compile fast and the in-block loop recompile makes long spans
     #: unnecessary for hot self-loops
     max_block_instructions: int = 32
-    #: spans shorter than this are left to the burst interpreter
+    #: spans shorter than this are left to the dispatch chain
     min_block_instructions: int = 2
-    #: instructions the deopt burst interpreter runs per table re-entry
+    #: instructions each deopt burst of ``CPU.run``'s dispatch chain runs
+    #: before it looks for a compiled block again
     burst_instructions: int = 16
-    #: cap on eagerly compiled static leaders (0 = fully lazy, measured
-    #: fastest: eager compilation front-loads exec() cost for blocks the
-    #: run may never reach)
-    max_eager_blocks: int = 0
 
     def __post_init__(self) -> None:
         if self.max_block_instructions < 2:

@@ -27,13 +27,14 @@ Three execution engines share this model (DESIGN.md §11):
   very instruction.  The checkpoint then performs the bookkeeping in the
   exact order the per-instruction loop used, which keeps RNG draws, trap
   timing and therefore whole profiles bit-identical (see DESIGN.md).
-* ``engine="trace"`` (:mod:`repro.machine.cpu_trace`) keeps the fast
-  engine's countdown/checkpoint skeleton but retires straight-line runs
-  of the table through exec-compiled superblock closures, deoptimizing
-  back to a bounded per-instruction burst whenever a deadline could land
-  mid-block or control leaves compiled code.  Checkpoints happen at the
-  *same retired-instruction counts* as the fast engine, so its journals
-  are byte-identical too.
+* ``engine="trace"`` runs the same loop, but between checkpoints it
+  first chains superblocks exec-compiled by :mod:`repro.machine.cpu_trace`
+  while each one fits the countdown, and falls back to the dispatch
+  chain for at most ``burst_instructions`` at a time whenever a deadline
+  could land mid-block or control leaves compiled code.  Checkpoint,
+  countdown and finalization are the fast engine's own code, so its
+  journals are byte-identical too.  Multi-core runs and runs watching an
+  extended-taxonomy event stay on the dispatch chain alone.
 * ``engine="reference"`` (:mod:`repro.machine.cpu_reference`) keeps the
   seed-style per-instruction loop — the cross-check oracle for golden
   profile tests and the baseline for throughput benchmarks.
@@ -264,16 +265,6 @@ class CPU:
             self._trace_cache = None
         return dec
 
-    def invalidate_traces(self) -> None:
-        """Discard compiled superblocks (self-modifying/replaced code).
-
-        The trace cache also self-invalidates when the dispatch table,
-        machine bindings or watched counter set change; this hook is for
-        callers that mutate ``code`` *in place* (the table identity check
-        cannot see that).
-        """
-        self._trace_cache = None
-
     def trace_stats(self) -> dict:
         """Observability counters from the trace tier (empty dict until
         an ``engine="trace"`` run has happened)."""
@@ -300,21 +291,6 @@ class CPU:
             return run_reference(
                 self, max_instructions, max_cycles, watchdog_instructions
             )
-        if (
-            self.engine == "trace"
-            and self.coherence is None
-            and EXTENDED_EVENTS.isdisjoint(self.counters.watching)
-        ):
-            from .cpu_trace import run_trace
-
-            return run_trace(
-                self, max_instructions, max_cycles, watchdog_instructions
-            )
-        # engine == "fast", or engine == "trace" watching an extended-
-        # taxonomy event (branch/bandwidth/latency counters) or running
-        # on a multi-core machine (compiled superblocks do not carry the
-        # coherence hooks): the trace tier deopts to the fast loop below
-        # — journals are byte-identical across engines either way.
 
         # Bind everything hot to locals.
         regs = self.regs
@@ -407,6 +383,41 @@ class CPU:
         start_count = instr_count
         flushed_insts = instr_count
         flushed_cycles = cycles
+
+        # The trace tier (DESIGN.md §11.2) chains compiled superblocks
+        # between checkpoints and falls back to the dispatch chain below
+        # for everything else.  Runs watching an extended-taxonomy event
+        # (branch/bandwidth/latency counters) or on a multi-core machine
+        # (blocks carry no coherence hooks) stay on the dispatch chain —
+        # journals are byte-identical across engines either way.
+        prog = None
+        if (
+            self.engine == "trace"
+            and coh is None
+            and EXTENDED_EVENTS.isdisjoint(watching)
+        ):
+            from .cpu_trace import get_program
+
+            # Penalties only have to checkpoint when something in the
+            # cycle domain (or a watcher that stamps checkpoint state into
+            # traps) can observe them; a plain unprofiled run compiles
+            # penalty-accumulating blocks that run to their control-flow
+            # exits instead.
+            prog = get_program(self, events_exit=bool(
+                watching
+                or pending
+                or self.clock_interval_cycles
+                or kill_at is not None
+                or max_cycles is not None
+            ))
+            st = prog.st
+            btab = prog.btab
+            counts = prog.counts
+            compile_row = prog.compile_row
+            hot = prog.cfg.hot_threshold
+            burst_size = prog.cfg.burst_instructions
+            s_block_calls = s_trace = s_burst = 0
+            s_split = s_entry = s_event = s_cold = 0
 
         if self.halted or budget == 0:
             return 0
@@ -596,660 +607,727 @@ class CPU:
                     if v < nxt:
                         nxt = v
                 countdown = nxt if nxt > 0 else 1
+                left = countdown
 
-                # ---- hot loop: dispatch chain ordered by the dynamic
-                # opcode mix of the MCF workload.  Every arm retires
-                # inline (``i = ni; ni += 1`` or the branch target), so
-                # straight-line instructions never materialise a "next
-                # pc" temporary; any arm that broke the base-cycles
-                # assumption sets ``brk`` (or breaks directly) so the
-                # checkpoint runs at this very instruction.
-                for _ in range(countdown):
-                    e = dec[i]
-                    k = e[0]
-                    if k < 4:  # LDX / LDUB
-                        o = e[3]
-                        ea = regs[e[2]] + (regs[o] if k & 1 else o)
-                        lcyc = cycles
-                        # DTLB
-                        if seg_base <= ea < seg_end and (ea >> seg_shift) == mru_page:
-                            tlb_hits += 1
-                        else:
-                            if not dtlb.lookup(ea, memory):
-                                cycles += dtlb_miss_cycles
+                while True:
+                    if prog is not None:
+                        # ---- trace tier: chain compiled blocks while
+                        # each one's worst-case length fits the `left`
+                        # instructions before the next checkpoint.  The
+                        # blocks share state through the hub `st`; the
+                        # finally reloads the locals even when a block
+                        # raised, so finalization sees exact state.
+                        st[:13] = (
+                            i, ni, cc, cycles, instr_count, ecstall_total,
+                            seg_base, seg_end, seg_shift, mru_page,
+                            tlb_hits, dc_read_hits, dc_write_hits,
+                        )
+                        st[14] = bad_pc
+                        try:
+                            while left > 0:
+                                row = st[0]
+                                ent = btab[row]
+                                if ent is None:
+                                    c = counts.get(row, 0) + 1
+                                    counts[row] = c
+                                    ent = compile_row(row) if c >= hot else False
+                                if ent is False:
+                                    s_cold += 1
+                                elif st[1] != row + 1:
+                                    # mid-block entry (e.g. resuming in a
+                                    # delay slot): blocks assume npc == pc+4
+                                    s_entry += 1
+                                elif ent[0] > left:
+                                    # the deadline lands inside the block
+                                    s_split += 1
+                                else:
+                                    retired = ent[1](left)
+                                    s_block_calls += 1
+                                    s_trace += retired
+                                    left -= retired
+                                    if st[13]:
+                                        # event inside the block: checkpoint
+                                        st[13] = 0
+                                        s_event += 1
+                                        left = 0
+                                    continue
+                                break
+                        finally:
+                            (
+                                i, ni, cc, cycles, instr_count, ecstall_total,
+                                seg_base, seg_end, seg_shift, mru_page,
+                                tlb_hits, dc_read_hits, dc_write_hits,
+                            ) = st[:13]
+                            bad_pc = st[14]
+                        if left <= 0:
+                            break
+                        # deopt: a bounded burst of the dispatch chain
+                        countdown = left if left < burst_size else burst_size
+                        left -= countdown
+                        burst_start = instr_count
+
+                    # ---- hot loop: dispatch chain ordered by the dynamic
+                    # opcode mix of the MCF workload.  Every arm retires
+                    # inline (``i = ni; ni += 1`` or the branch target), so
+                    # straight-line instructions never materialise a "next
+                    # pc" temporary; any arm that broke the base-cycles
+                    # assumption sets ``brk`` (or breaks directly) so the
+                    # checkpoint runs at this very instruction.
+                    for _ in range(countdown):
+                        e = dec[i]
+                        k = e[0]
+                        if k < 4:  # LDX / LDUB
+                            o = e[3]
+                            ea = regs[e[2]] + (regs[o] if k & 1 else o)
+                            lcyc = cycles
+                            # DTLB
+                            if seg_base <= ea < seg_end and (ea >> seg_shift) == mru_page:
+                                tlb_hits += 1
+                            else:
+                                if not dtlb.lookup(ea, memory):
+                                    cycles += dtlb_miss_cycles
+                                    brk = True
+                                    if w_dtlbm is not None:
+                                        skid = record(w_dtlbm, 1)
+                                        if skid >= 0:
+                                            pending.append(
+                                                [instr_count + 1 + skid, w_dtlbm,
+                                                 skid, tb + (i << 2),
+                                                 counters.last_coalesced, ea]
+                                            )
+                                seg = dtlb._seg_cache
+                                seg_base = seg.base
+                                seg_end = seg_base + seg.size
+                                seg_shift = seg.page_shift
+                                mru_page = ea >> seg_shift
+                            # D$
+                            full_miss = False
+                            line = ea >> dc_shift
+                            dcset = dc_sets[line & dc_mask]
+                            if dcset and dcset[0] == line:
+                                dc_read_hits += 1
+                            elif not dcache.access(ea, False):
                                 brk = True
-                                if w_dtlbm is not None:
-                                    skid = record(w_dtlbm, 1)
+                                if coh is not None:
+                                    # a line another core owns must be pulled
+                                    # shared (downgrade + forward penalty)
+                                    pen = coh.load_miss(core_id, ea)
+                                    if pen:
+                                        cycles += pen
+                                        if w_cohm is not None:
+                                            skid = record(w_cohm, 1)
+                                            if skid >= 0:
+                                                pending.append(
+                                                    [instr_count + 1 + skid,
+                                                     w_cohm, skid, tb + (i << 2),
+                                                     counters.last_coalesced, ea]
+                                                )
+                                if w_dcrm is not None:
+                                    skid = record(w_dcrm, 1)
                                     if skid >= 0:
                                         pending.append(
-                                            [instr_count + 1 + skid, w_dtlbm,
-                                             skid, tb + (i << 2),
+                                            [instr_count + 1 + skid, w_dcrm, skid,
+                                             tb + (i << 2),
                                              counters.last_coalesced, ea]
                                         )
-                            seg = dtlb._seg_cache
-                            seg_base = seg.base
-                            seg_end = seg_base + seg.size
-                            seg_shift = seg.page_shift
-                            mru_page = ea >> seg_shift
-                        # D$
-                        full_miss = False
-                        line = ea >> dc_shift
-                        dcset = dc_sets[line & dc_mask]
-                        if dcset and dcset[0] == line:
-                            dc_read_hits += 1
-                        elif not dcache.access(ea, False):
-                            brk = True
-                            if coh is not None:
-                                # a line another core owns must be pulled
-                                # shared (downgrade + forward penalty)
-                                pen = coh.load_miss(core_id, ea)
+                                cycles += ec_hit_cycles
+                                if w_ecref is not None:
+                                    skid = record(w_ecref, 1)
+                                    if skid >= 0:
+                                        pending.append(
+                                            [instr_count + 1 + skid, w_ecref, skid,
+                                             tb + (i << 2),
+                                             counters.last_coalesced, ea]
+                                        )
+                                if not ecache.access(ea, False):
+                                    full_miss = True
+                                    cycles += ec_miss_cycles
+                                    ecstall_total += ec_miss_cycles
+                                    if w_ecrm is not None:
+                                        skid = record(w_ecrm, 1)
+                                        if skid >= 0:
+                                            pending.append(
+                                                [instr_count + 1 + skid, w_ecrm,
+                                                 skid, tb + (i << 2),
+                                                 counters.last_coalesced, ea]
+                                            )
+                                    if w_ecstall is not None:
+                                        skid = record(w_ecstall, ec_miss_cycles)
+                                        if skid >= 0:
+                                            pending.append(
+                                                [instr_count + 1 + skid, w_ecstall,
+                                                 skid, tb + (i << 2),
+                                                 counters.last_coalesced, ea]
+                                            )
+                            if inflight:
+                                # a software prefetch may still be fetching this
+                                # line: the demand load waits for the remainder
+                                ready = inflight.pop(ea >> ec_line_shift, None)
+                                if ready is not None and not full_miss and ready > lcyc:
+                                    wait = ready - lcyc
+                                    cycles += wait
+                                    ecstall_total += wait
+                                    brk = True
+                                if inflight:
+                                    # expire fetches that completed in the past
+                                    stale = [
+                                        ln for ln, r in inflight.items() if r <= cycles
+                                    ]
+                                    for ln in stale:
+                                        del inflight[ln]
+                            # data
+                            if k < 2:  # LDX
+                                if ea & 7:
+                                    raise MemoryFault(ea, "misaligned 8-byte load")
+                                widx = (ea - mem_base) >> 3
+                                if widx < 0 or widx >= nwords:
+                                    raise MemoryFault(ea)
+                                value = words[widx]
+                            else:  # LDUB
+                                widx = (ea - mem_base) >> 3
+                                if widx < 0 or widx >= nwords:
+                                    raise MemoryFault(ea)
+                                value = (words[widx] >> ((ea & 7) << 3)) & 0xFF
+                            rd = e[1]
+                            if rd:
+                                regs[rd] = value
+                            if w_ldbytes is not None:
+                                skid = record(w_ldbytes, 8 if k < 2 else 1)
+                                if skid >= 0:
+                                    pending.append(
+                                        [instr_count + 1 + skid, w_ldbytes, skid,
+                                         tb + (i << 2),
+                                         counters.last_coalesced, ea]
+                                    )
+                                    brk = True
+                            if w_ldlat is not None:
+                                skid = record(w_ldlat, 1)
+                                if skid >= 0:
+                                    # sampled SPE-style latency: every cycle the
+                                    # load consumed (miss penalties, prefetch
+                                    # waits) plus its base issue cost
+                                    pending.append(
+                                        [instr_count + 1 + skid, w_ldlat, skid,
+                                         tb + (i << 2), counters.last_coalesced,
+                                         ea, cycles - lcyc + base_cycles]
+                                    )
+                                    brk = True
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                            if brk:
+                                brk = False
+                                break
+                        elif k == K_SET:
+                            regs[e[1]] = e[2]
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_ADD_R:
+                            value = regs[e[2]] + regs[e[3]]
+                            if value > _S64_MAX or value < _S64_MIN:
+                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
+                            regs[e[1]] = value
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_ADD_I:
+                            value = regs[e[2]] + e[3]
+                            if value > _S64_MAX or value < _S64_MIN:
+                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
+                            regs[e[1]] = value
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_NOP:
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_CMP_R:
+                            cc = regs[e[1]] - regs[e[2]]
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_CMP_I:
+                            cc = regs[e[1]] - e[2]
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k < 8:  # STX / STB
+                            o = e[3]
+                            ea = regs[e[2]] + (regs[o] if k & 1 else o)
+                            if seg_base <= ea < seg_end and (ea >> seg_shift) == mru_page:
+                                tlb_hits += 1
+                            else:
+                                if not dtlb.lookup(ea, memory):
+                                    cycles += dtlb_miss_cycles
+                                    brk = True
+                                    if w_dtlbm is not None:
+                                        skid = record(w_dtlbm, 1)
+                                        if skid >= 0:
+                                            pending.append(
+                                                [instr_count + 1 + skid, w_dtlbm,
+                                                 skid, tb + (i << 2),
+                                                 counters.last_coalesced, ea]
+                                            )
+                                seg = dtlb._seg_cache
+                                seg_base = seg.base
+                                seg_end = seg_base + seg.size
+                                seg_shift = seg.page_shift
+                                mru_page = ea >> seg_shift
+                            if coh is not None and coh_owner.get(ea >> coh_shift) != core_id:
+                                # acquire ownership of the E$ line; any other
+                                # holder pays the invalidation penalty here
+                                pen = coh.store(core_id, ea)
                                 if pen:
                                     cycles += pen
+                                    brk = True
                                     if w_cohm is not None:
                                         skid = record(w_cohm, 1)
                                         if skid >= 0:
                                             pending.append(
-                                                [instr_count + 1 + skid,
-                                                 w_cohm, skid, tb + (i << 2),
+                                                [instr_count + 1 + skid, w_cohm,
+                                                 skid, tb + (i << 2),
                                                  counters.last_coalesced, ea]
                                             )
-                            if w_dcrm is not None:
-                                skid = record(w_dcrm, 1)
-                                if skid >= 0:
-                                    pending.append(
-                                        [instr_count + 1 + skid, w_dcrm, skid,
-                                         tb + (i << 2),
-                                         counters.last_coalesced, ea]
-                                    )
-                            cycles += ec_hit_cycles
-                            if w_ecref is not None:
-                                skid = record(w_ecref, 1)
-                                if skid >= 0:
-                                    pending.append(
-                                        [instr_count + 1 + skid, w_ecref, skid,
-                                         tb + (i << 2),
-                                         counters.last_coalesced, ea]
-                                    )
-                            if not ecache.access(ea, False):
-                                full_miss = True
-                                cycles += ec_miss_cycles
-                                ecstall_total += ec_miss_cycles
-                                if w_ecrm is not None:
-                                    skid = record(w_ecrm, 1)
-                                    if skid >= 0:
-                                        pending.append(
-                                            [instr_count + 1 + skid, w_ecrm,
-                                             skid, tb + (i << 2),
-                                             counters.last_coalesced, ea]
-                                        )
-                                if w_ecstall is not None:
-                                    skid = record(w_ecstall, ec_miss_cycles)
-                                    if skid >= 0:
-                                        pending.append(
-                                            [instr_count + 1 + skid, w_ecstall,
-                                             skid, tb + (i << 2),
-                                             counters.last_coalesced, ea]
-                                        )
-                        if inflight:
-                            # a software prefetch may still be fetching this
-                            # line: the demand load waits for the remainder
-                            ready = inflight.pop(ea >> ec_line_shift, None)
-                            if ready is not None and not full_miss and ready > lcyc:
-                                wait = ready - lcyc
-                                cycles += wait
-                                ecstall_total += wait
+                            line = ea >> dc_shift
+                            dcset = dc_sets[line & dc_mask]
+                            if dcset and dcset[0] == line:
+                                dc_write_hits += 1
+                            elif not dcache.access(ea, True):
+                                # write-allocate through E$; the write buffer
+                                # hides most of the latency (configurable
+                                # residual stall)
                                 brk = True
+                                if store_stall_cycles:
+                                    cycles += store_stall_cycles
+                                if w_ecref is not None:
+                                    skid = record(w_ecref, 1)
+                                    if skid >= 0:
+                                        pending.append(
+                                            [instr_count + 1 + skid, w_ecref, skid,
+                                             tb + (i << 2),
+                                             counters.last_coalesced, ea]
+                                        )
+                                ecache.access(ea, True)
                             if inflight:
-                                # expire fetches that completed in the past
-                                stale = [
-                                    ln for ln, r in inflight.items() if r <= cycles
-                                ]
-                                for ln in stale:
-                                    del inflight[ln]
-                        # data
-                        if k < 2:  # LDX
-                            if ea & 7:
-                                raise MemoryFault(ea, "misaligned 8-byte load")
-                            widx = (ea - mem_base) >> 3
-                            if widx < 0 or widx >= nwords:
-                                raise MemoryFault(ea)
-                            value = words[widx]
-                        else:  # LDUB
-                            widx = (ea - mem_base) >> 3
-                            if widx < 0 or widx >= nwords:
-                                raise MemoryFault(ea)
-                            value = (words[widx] >> ((ea & 7) << 3)) & 0xFF
-                        rd = e[1]
-                        if rd:
-                            regs[rd] = value
-                        if w_ldbytes is not None:
-                            skid = record(w_ldbytes, 8 if k < 2 else 1)
-                            if skid >= 0:
-                                pending.append(
-                                    [instr_count + 1 + skid, w_ldbytes, skid,
-                                     tb + (i << 2),
-                                     counters.last_coalesced, ea]
+                                # the store supersedes any in-flight prefetch of
+                                # its line; completed fetches are dropped too
+                                inflight.pop(ea >> ec_line_shift, None)
+                                if inflight:
+                                    stale = [
+                                        ln for ln, r in inflight.items() if r <= cycles
+                                    ]
+                                    for ln in stale:
+                                        del inflight[ln]
+                            if k < 6:  # STX
+                                if ea & 7:
+                                    raise MemoryFault(ea, "misaligned 8-byte store")
+                                widx = (ea - mem_base) >> 3
+                                if widx < 0 or widx >= nwords:
+                                    raise MemoryFault(ea)
+                                words[widx] = regs[e[1]]
+                            else:  # STB
+                                widx = (ea - mem_base) >> 3
+                                if widx < 0 or widx >= nwords:
+                                    raise MemoryFault(ea)
+                                shift = (ea & 7) << 3
+                                word = words[widx] & _U64M
+                                word = (word & ~(0xFF << shift)) | (
+                                    (regs[e[1]] & 0xFF) << shift
                                 )
-                                brk = True
-                        if w_ldlat is not None:
-                            skid = record(w_ldlat, 1)
-                            if skid >= 0:
-                                # sampled SPE-style latency: every cycle the
-                                # load consumed (miss penalties, prefetch
-                                # waits) plus its base issue cost
-                                pending.append(
-                                    [instr_count + 1 + skid, w_ldlat, skid,
-                                     tb + (i << 2), counters.last_coalesced,
-                                     ea, cycles - lcyc + base_cycles]
-                                )
-                                brk = True
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                        if brk:
-                            brk = False
-                            break
-                    elif k == K_SET:
-                        regs[e[1]] = e[2]
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_ADD_R:
-                        value = regs[e[2]] + regs[e[3]]
-                        if value > _S64_MAX or value < _S64_MIN:
-                            value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_ADD_I:
-                        value = regs[e[2]] + e[3]
-                        if value > _S64_MAX or value < _S64_MIN:
-                            value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_NOP:
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_CMP_R:
-                        cc = regs[e[1]] - regs[e[2]]
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_CMP_I:
-                        cc = regs[e[1]] - e[2]
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k < 8:  # STX / STB
-                        o = e[3]
-                        ea = regs[e[2]] + (regs[o] if k & 1 else o)
-                        if seg_base <= ea < seg_end and (ea >> seg_shift) == mru_page:
-                            tlb_hits += 1
-                        else:
-                            if not dtlb.lookup(ea, memory):
-                                cycles += dtlb_miss_cycles
-                                brk = True
-                                if w_dtlbm is not None:
-                                    skid = record(w_dtlbm, 1)
-                                    if skid >= 0:
-                                        pending.append(
-                                            [instr_count + 1 + skid, w_dtlbm,
-                                             skid, tb + (i << 2),
-                                             counters.last_coalesced, ea]
-                                        )
-                            seg = dtlb._seg_cache
-                            seg_base = seg.base
-                            seg_end = seg_base + seg.size
-                            seg_shift = seg.page_shift
-                            mru_page = ea >> seg_shift
-                        if coh is not None and coh_owner.get(ea >> coh_shift) != core_id:
-                            # acquire ownership of the E$ line; any other
-                            # holder pays the invalidation penalty here
-                            pen = coh.store(core_id, ea)
-                            if pen:
-                                cycles += pen
-                                brk = True
-                                if w_cohm is not None:
-                                    skid = record(w_cohm, 1)
-                                    if skid >= 0:
-                                        pending.append(
-                                            [instr_count + 1 + skid, w_cohm,
-                                             skid, tb + (i << 2),
-                                             counters.last_coalesced, ea]
-                                        )
-                        line = ea >> dc_shift
-                        dcset = dc_sets[line & dc_mask]
-                        if dcset and dcset[0] == line:
-                            dc_write_hits += 1
-                        elif not dcache.access(ea, True):
-                            # write-allocate through E$; the write buffer
-                            # hides most of the latency (configurable
-                            # residual stall)
-                            brk = True
-                            if store_stall_cycles:
-                                cycles += store_stall_cycles
-                            if w_ecref is not None:
-                                skid = record(w_ecref, 1)
+                                if word > _S64_MAX:
+                                    word -= _U64
+                                words[widx] = word
+                            if w_stbytes is not None:
+                                skid = record(w_stbytes, 8 if k < 6 else 1)
                                 if skid >= 0:
                                     pending.append(
-                                        [instr_count + 1 + skid, w_ecref, skid,
+                                        [instr_count + 1 + skid, w_stbytes, skid,
                                          tb + (i << 2),
                                          counters.last_coalesced, ea]
                                     )
-                            ecache.access(ea, True)
-                        if inflight:
-                            # the store supersedes any in-flight prefetch of
-                            # its line; completed fetches are dropped too
-                            inflight.pop(ea >> ec_line_shift, None)
-                            if inflight:
-                                stale = [
-                                    ln for ln, r in inflight.items() if r <= cycles
-                                ]
-                                for ln in stale:
-                                    del inflight[ln]
-                        if k < 6:  # STX
-                            if ea & 7:
-                                raise MemoryFault(ea, "misaligned 8-byte store")
-                            widx = (ea - mem_base) >> 3
-                            if widx < 0 or widx >= nwords:
-                                raise MemoryFault(ea)
-                            words[widx] = regs[e[1]]
-                        else:  # STB
-                            widx = (ea - mem_base) >> 3
-                            if widx < 0 or widx >= nwords:
-                                raise MemoryFault(ea)
-                            shift = (ea & 7) << 3
-                            word = words[widx] & _U64M
-                            word = (word & ~(0xFF << shift)) | (
-                                (regs[e[1]] & 0xFF) << shift
+                                    brk = True
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                            if brk:
+                                brk = False
+                                break
+                        elif k == K_MOV:
+                            regs[e[1]] = regs[e[2]]
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_BGE:
+                            if track_br and note_br(
+                                (cc >= 0) != btfn_backward(e[1], i), i, instr_count
+                            ):
+                                brk = True
+                            if cc >= 0:
+                                i = ni
+                                ni = e[1]
+                            else:
+                                i = ni
+                                ni += 1
+                            instr_count += 1
+                            cycles += base_cycles
+                            if brk:
+                                brk = False
+                                break
+                        elif k == K_BA:
+                            if track_br and note_br(False, i, instr_count):
+                                brk = True
+                            i = ni
+                            ni = e[1]
+                            instr_count += 1
+                            cycles += base_cycles
+                            if brk:
+                                brk = False
+                                break
+                        elif k == K_MULX_R:
+                            value = regs[e[2]] * regs[e[3]]
+                            if value > _S64_MAX or value < _S64_MIN:
+                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
+                            regs[e[1]] = value
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_BL:
+                            if track_br and note_br(
+                                (cc < 0) != btfn_backward(e[1], i), i, instr_count
+                            ):
+                                brk = True
+                            if cc < 0:
+                                i = ni
+                                ni = e[1]
+                            else:
+                                i = ni
+                                ni += 1
+                            instr_count += 1
+                            cycles += base_cycles
+                            if brk:
+                                brk = False
+                                break
+                        elif k == K_BNE:
+                            if track_br and note_br(
+                                (cc != 0) != btfn_backward(e[1], i), i, instr_count
+                            ):
+                                brk = True
+                            if cc != 0:
+                                i = ni
+                                ni = e[1]
+                            else:
+                                i = ni
+                                ni += 1
+                            instr_count += 1
+                            cycles += base_cycles
+                            if brk:
+                                brk = False
+                                break
+                        elif k == K_SLLX_I:
+                            value = regs[e[2]] << e[3]
+                            if value > _S64_MAX or value < _S64_MIN:
+                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
+                            regs[e[1]] = value
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_SUB_R:
+                            value = regs[e[2]] - regs[e[3]]
+                            if value > _S64_MAX or value < _S64_MIN:
+                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
+                            regs[e[1]] = value
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_SUB_I:
+                            value = regs[e[2]] - e[3]
+                            if value > _S64_MAX or value < _S64_MIN:
+                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
+                            regs[e[1]] = value
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_BE:
+                            if track_br and note_br(
+                                (cc == 0) != btfn_backward(e[1], i), i, instr_count
+                            ):
+                                brk = True
+                            if cc == 0:
+                                i = ni
+                                ni = e[1]
+                            else:
+                                i = ni
+                                ni += 1
+                            instr_count += 1
+                            cycles += base_cycles
+                            if brk:
+                                brk = False
+                                break
+                        elif k == K_BG:
+                            if track_br and note_br(
+                                (cc > 0) != btfn_backward(e[1], i), i, instr_count
+                            ):
+                                brk = True
+                            if cc > 0:
+                                i = ni
+                                ni = e[1]
+                            else:
+                                i = ni
+                                ni += 1
+                            instr_count += 1
+                            cycles += base_cycles
+                            if brk:
+                                brk = False
+                                break
+                        elif k == K_BLE:
+                            if track_br and note_br(
+                                (cc <= 0) != btfn_backward(e[1], i), i, instr_count
+                            ):
+                                brk = True
+                            if cc <= 0:
+                                i = ni
+                                ni = e[1]
+                            else:
+                                i = ni
+                                ni += 1
+                            instr_count += 1
+                            cycles += base_cycles
+                            if brk:
+                                brk = False
+                                break
+                        elif k == K_MULX_I:
+                            value = regs[e[2]] * e[3]
+                            if value > _S64_MAX or value < _S64_MIN:
+                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
+                            regs[e[1]] = value
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_CALL:
+                            if track_br and note_br(False, i, instr_count):
+                                brk = True
+                            xpc = tb + (i << 2)
+                            regs[REG_RA] = xpc
+                            callstack.append(xpc)
+                            i = ni
+                            ni = e[1]
+                            instr_count += 1
+                            cycles += base_cycles
+                            if brk:
+                                brk = False
+                                break
+                        elif k == K_JMPL:
+                            # indirect target: the BTFN static predictor always
+                            # mispredicts it
+                            if track_br and note_br(True, i, instr_count):
+                                brk = True
+                            rd = e[1]
+                            if rd:
+                                regs[rd] = tb + (i << 2)
+                            t = regs[e[2]] + e[3]
+                            if e[4] and callstack:
+                                callstack.pop()
+                            ti = (t - tb) >> 2
+                            if t & 3 or ti < 0 or ti > ncode:
+                                # unrepresentable computed target: route through
+                                # the sentinel row, which raises with this pc
+                                bad_pc = t
+                                ti = ncode
+                            i = ni
+                            ni = ti
+                            instr_count += 1
+                            cycles += base_cycles
+                            if brk:
+                                brk = False
+                                break
+                        elif k < 10:  # PREFETCH
+                            o = e[3]
+                            ea = regs[e[2]] + (regs[o] if k & 1 else o)
+                            # dropped on a DTLB miss or an unmapped address;
+                            # raises no counter events (demand accesses only)
+                            try:
+                                translated = dtlb.peek(ea, memory)
+                            except MemoryFault:
+                                translated = False
+                            if translated and not dcache.access(ea, False):
+                                if not ecache.access(ea, False):
+                                    inflight[ea >> ec_line_shift] = (
+                                        cycles + ec_miss_cycles
+                                    )
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_AND_R:
+                            regs[e[1]] = regs[e[2]] & regs[e[3]]
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_AND_I:
+                            regs[e[1]] = regs[e[2]] & e[3]
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_OR_R:
+                            regs[e[1]] = regs[e[2]] | regs[e[3]]
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_OR_I:
+                            regs[e[1]] = regs[e[2]] | e[3]
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_XOR_R:
+                            regs[e[1]] = regs[e[2]] ^ regs[e[3]]
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_XOR_I:
+                            regs[e[1]] = regs[e[2]] ^ e[3]
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_SLLX_R:
+                            value = regs[e[2]] << (regs[e[3]] & 63)
+                            if value > _S64_MAX or value < _S64_MIN:
+                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
+                            regs[e[1]] = value
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_SRLX_I:
+                            value = (regs[e[2]] & _U64M) >> e[3]
+                            if value > _S64_MAX:
+                                value -= _U64
+                            regs[e[1]] = value
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_SRLX_R:
+                            value = (regs[e[2]] & _U64M) >> (regs[e[3]] & 63)
+                            if value > _S64_MAX:
+                                value -= _U64
+                            regs[e[1]] = value
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_SRAX_I:
+                            regs[e[1]] = regs[e[2]] >> e[3]
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_SRAX_R:
+                            regs[e[1]] = regs[e[2]] >> (regs[e[3]] & 63)
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k < 38:  # SDIVX / SMODX
+                            o = e[3]
+                            b = regs[o] if k & 1 else o
+                            a = regs[e[2]]
+                            if b == 0:
+                                raise DivisionByZero(f"at pc 0x{tb + (i << 2):x}")
+                            q = abs(a) // abs(b)
+                            if (a < 0) != (b < 0):
+                                q = -q
+                            value = q if k < 36 else a - q * b
+                            rd = e[1]
+                            if rd:
+                                regs[rd] = value
+                            instr_count += 1
+                            cycles += base_cycles
+                            i = ni
+                            ni += 1
+                        elif k == K_TA:
+                            service = self.kernel_service
+                            if service is None:
+                                raise MachineError(f"trap {e[1]} with no kernel")
+                            # sync state (and flush the batched MRU tallies) so
+                            # the kernel sees a consistent CPU and machine
+                            self.pc = tb + (i << 2)
+                            self.npc = (
+                                bad_pc
+                                if ni == ncode and bad_pc is not None
+                                else tb + (ni << 2)
                             )
-                            if word > _S64_MAX:
-                                word -= _U64
-                            words[widx] = word
-                        if w_stbytes is not None:
-                            skid = record(w_stbytes, 8 if k < 6 else 1)
-                            if skid >= 0:
-                                pending.append(
-                                    [instr_count + 1 + skid, w_stbytes, skid,
-                                     tb + (i << 2),
-                                     counters.last_coalesced, ea]
-                                )
-                                brk = True
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                        if brk:
-                            brk = False
-                            break
-                    elif k == K_MOV:
-                        regs[e[1]] = regs[e[2]]
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_BGE:
-                        if track_br and note_br(
-                            (cc >= 0) != btfn_backward(e[1], i), i, instr_count
-                        ):
-                            brk = True
-                        if cc >= 0:
-                            i = ni
-                            ni = e[1]
-                        else:
+                            self.cycles, self.instr_count = cycles, instr_count
+                            self.ecstall_cycles = ecstall_total
+                            if tlb_hits:
+                                dtlb.refs += tlb_hits
+                                tlb_hits = 0
+                            if dc_read_hits:
+                                dcache.read_refs += dc_read_hits
+                                dc_read_hits = 0
+                            if dc_write_hits:
+                                dcache.write_refs += dc_write_hits
+                                dc_write_hits = 0
+                            service(self, e[1])
+                            cycles += TRAP_CYCLES
+                            self.system_cycles += TRAP_CYCLES
+                            # the service may have remapped memory
+                            seg_base, seg_end, mru_page = 1, 0, -1
+                            instr_count += 1
+                            cycles += base_cycles
                             i = ni
                             ni += 1
-                        instr_count += 1
-                        cycles += base_cycles
-                        if brk:
-                            brk = False
                             break
-                    elif k == K_BA:
-                        if track_br and note_br(False, i, instr_count):
-                            brk = True
-                        i = ni
-                        ni = e[1]
-                        instr_count += 1
-                        cycles += base_cycles
-                        if brk:
-                            brk = False
-                            break
-                    elif k == K_MULX_R:
-                        value = regs[e[2]] * regs[e[3]]
-                        if value > _S64_MAX or value < _S64_MIN:
-                            value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_BL:
-                        if track_br and note_br(
-                            (cc < 0) != btfn_backward(e[1], i), i, instr_count
-                        ):
-                            brk = True
-                        if cc < 0:
-                            i = ni
-                            ni = e[1]
-                        else:
+                        elif k == K_HALT:
+                            self.halted = True
+                            self.exit_code = regs[8]  # %o0
+                            instr_count += 1
+                            cycles += base_cycles
                             i = ni
                             ni += 1
-                        instr_count += 1
-                        cycles += base_cycles
-                        if brk:
-                            brk = False
                             break
-                    elif k == K_BNE:
-                        if track_br and note_br(
-                            (cc != 0) != btfn_backward(e[1], i), i, instr_count
-                        ):
-                            brk = True
-                        if cc != 0:
-                            i = ni
-                            ni = e[1]
-                        else:
-                            i = ni
-                            ni += 1
-                        instr_count += 1
-                        cycles += base_cycles
-                        if brk:
-                            brk = False
-                            break
-                    elif k == K_SLLX_I:
-                        value = regs[e[2]] << e[3]
-                        if value > _S64_MAX or value < _S64_MIN:
-                            value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_SUB_R:
-                        value = regs[e[2]] - regs[e[3]]
-                        if value > _S64_MAX or value < _S64_MIN:
-                            value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_SUB_I:
-                        value = regs[e[2]] - e[3]
-                        if value > _S64_MAX or value < _S64_MIN:
-                            value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_BE:
-                        if track_br and note_br(
-                            (cc == 0) != btfn_backward(e[1], i), i, instr_count
-                        ):
-                            brk = True
-                        if cc == 0:
-                            i = ni
-                            ni = e[1]
-                        else:
-                            i = ni
-                            ni += 1
-                        instr_count += 1
-                        cycles += base_cycles
-                        if brk:
-                            brk = False
-                            break
-                    elif k == K_BG:
-                        if track_br and note_br(
-                            (cc > 0) != btfn_backward(e[1], i), i, instr_count
-                        ):
-                            brk = True
-                        if cc > 0:
-                            i = ni
-                            ni = e[1]
-                        else:
-                            i = ni
-                            ni += 1
-                        instr_count += 1
-                        cycles += base_cycles
-                        if brk:
-                            brk = False
-                            break
-                    elif k == K_BLE:
-                        if track_br and note_br(
-                            (cc <= 0) != btfn_backward(e[1], i), i, instr_count
-                        ):
-                            brk = True
-                        if cc <= 0:
-                            i = ni
-                            ni = e[1]
-                        else:
-                            i = ni
-                            ni += 1
-                        instr_count += 1
-                        cycles += base_cycles
-                        if brk:
-                            brk = False
-                            break
-                    elif k == K_MULX_I:
-                        value = regs[e[2]] * e[3]
-                        if value > _S64_MAX or value < _S64_MIN:
-                            value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_CALL:
-                        if track_br and note_br(False, i, instr_count):
-                            brk = True
-                        xpc = tb + (i << 2)
-                        regs[REG_RA] = xpc
-                        callstack.append(xpc)
-                        i = ni
-                        ni = e[1]
-                        instr_count += 1
-                        cycles += base_cycles
-                        if brk:
-                            brk = False
-                            break
-                    elif k == K_JMPL:
-                        # indirect target: the BTFN static predictor always
-                        # mispredicts it
-                        if track_br and note_br(True, i, instr_count):
-                            brk = True
-                        rd = e[1]
-                        if rd:
-                            regs[rd] = tb + (i << 2)
-                        t = regs[e[2]] + e[3]
-                        if e[4] and callstack:
-                            callstack.pop()
-                        ti = (t - tb) >> 2
-                        if t & 3 or ti < 0 or ti > ncode:
-                            # unrepresentable computed target: route through
-                            # the sentinel row, which raises with this pc
-                            bad_pc = t
-                            ti = ncode
-                        i = ni
-                        ni = ti
-                        instr_count += 1
-                        cycles += base_cycles
-                        if brk:
-                            brk = False
-                            break
-                    elif k < 10:  # PREFETCH
-                        o = e[3]
-                        ea = regs[e[2]] + (regs[o] if k & 1 else o)
-                        # dropped on a DTLB miss or an unmapped address;
-                        # raises no counter events (demand accesses only)
-                        try:
-                            translated = dtlb.peek(ea, memory)
-                        except MemoryFault:
-                            translated = False
-                        if translated and not dcache.access(ea, False):
-                            if not ecache.access(ea, False):
-                                inflight[ea >> ec_line_shift] = (
-                                    cycles + ec_miss_cycles
-                                )
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_AND_R:
-                        regs[e[1]] = regs[e[2]] & regs[e[3]]
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_AND_I:
-                        regs[e[1]] = regs[e[2]] & e[3]
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_OR_R:
-                        regs[e[1]] = regs[e[2]] | regs[e[3]]
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_OR_I:
-                        regs[e[1]] = regs[e[2]] | e[3]
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_XOR_R:
-                        regs[e[1]] = regs[e[2]] ^ regs[e[3]]
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_XOR_I:
-                        regs[e[1]] = regs[e[2]] ^ e[3]
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_SLLX_R:
-                        value = regs[e[2]] << (regs[e[3]] & 63)
-                        if value > _S64_MAX or value < _S64_MIN:
-                            value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_SRLX_I:
-                        value = (regs[e[2]] & _U64M) >> e[3]
-                        if value > _S64_MAX:
-                            value -= _U64
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_SRLX_R:
-                        value = (regs[e[2]] & _U64M) >> (regs[e[3]] & 63)
-                        if value > _S64_MAX:
-                            value -= _U64
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_SRAX_I:
-                        regs[e[1]] = regs[e[2]] >> e[3]
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_SRAX_R:
-                        regs[e[1]] = regs[e[2]] >> (regs[e[3]] & 63)
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k < 38:  # SDIVX / SMODX
-                        o = e[3]
-                        b = regs[o] if k & 1 else o
-                        a = regs[e[2]]
-                        if b == 0:
-                            raise DivisionByZero(f"at pc 0x{tb + (i << 2):x}")
-                        q = abs(a) // abs(b)
-                        if (a < 0) != (b < 0):
-                            q = -q
-                        value = q if k < 36 else a - q * b
-                        rd = e[1]
-                        if rd:
-                            regs[rd] = value
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_TA:
-                        service = self.kernel_service
-                        if service is None:
-                            raise MachineError(f"trap {e[1]} with no kernel")
-                        # sync state (and flush the batched MRU tallies) so
-                        # the kernel sees a consistent CPU and machine
-                        self.pc = tb + (i << 2)
-                        self.npc = (
-                            bad_pc
-                            if ni == ncode and bad_pc is not None
-                            else tb + (ni << 2)
-                        )
-                        self.cycles, self.instr_count = cycles, instr_count
-                        self.ecstall_cycles = ecstall_total
-                        if tlb_hits:
-                            dtlb.refs += tlb_hits
-                            tlb_hits = 0
-                        if dc_read_hits:
-                            dcache.read_refs += dc_read_hits
-                            dc_read_hits = 0
-                        if dc_write_hits:
-                            dcache.write_refs += dc_write_hits
-                            dc_write_hits = 0
-                        service(self, e[1])
-                        cycles += TRAP_CYCLES
-                        self.system_cycles += TRAP_CYCLES
-                        # the service may have remapped memory
-                        seg_base, seg_end, mru_page = 1, 0, -1
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                        break
-                    elif k == K_HALT:
-                        self.halted = True
-                        self.exit_code = regs[8]  # %o0
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                        break
-                    elif k == K_BAD:
-                        # fetch fault: fell off the end of text, or a
-                        # control transfer targeted a bad address
-                        p = e[1]
-                        if p is None:
-                            p = bad_pc if bad_pc is not None else tb + (i << 2)
-                        bad_pc = p
-                        raise IllegalInstruction(f"fetch from 0x{p:x}")
-                    else:  # pragma: no cover - predecode rejects unknown ops
-                        raise IllegalInstruction(
-                            f"unknown kind {k} at 0x{tb + (i << 2):x}"
-                        )
+                        elif k == K_BAD:
+                            # fetch fault: fell off the end of text, or a
+                            # control transfer targeted a bad address
+                            p = e[1]
+                            if p is None:
+                                p = bad_pc if bad_pc is not None else tb + (i << 2)
+                            bad_pc = p
+                            raise IllegalInstruction(f"fetch from 0x{p:x}")
+                        else:  # pragma: no cover - predecode rejects unknown ops
+                            raise IllegalInstruction(
+                                f"unknown kind {k} at 0x{tb + (i << 2):x}"
+                            )
+                    else:
+                        if prog is not None and left > 0:
+                            # burst retired without an event: back to
+                            # the compiled blocks
+                            s_burst += instr_count - burst_start
+                            continue
+                    if prog is not None:
+                        s_burst += instr_count - burst_start
+                    break
 
         finally:
             # Sync locals back even when a fault/deadline raised mid-loop,
@@ -1282,6 +1360,15 @@ class CPU:
             self.instr_count = instr_count
             self.ecstall_cycles = ecstall_total
             self._cc = cc
+            if prog is not None:
+                stats = prog.stats
+                stats["block_calls"] += s_block_calls
+                stats["trace_retired"] += s_trace
+                stats["burst_retired"] += s_burst
+                stats["deopt_split"] += s_split
+                stats["deopt_entry"] += s_entry
+                stats["deopt_event"] += s_event
+                stats["deopt_cold"] += s_cold
         return instr_count - start_count
 
 

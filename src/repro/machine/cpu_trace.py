@@ -1,29 +1,30 @@
-"""Trace/superblock compilation tier for the simulator (``engine="trace"``).
+"""Superblock compiler for the trace tier (``engine="trace"``).
 
-This is the third execution engine (see DESIGN.md §11).  It reuses the
-fast engine's two load-bearing ideas — the predecoded index-space
-dispatch table from :mod:`repro.isa.decode` and the batched overflow
-countdown — and adds one more: straight-line runs of table rows
-(*superblocks*) are compiled, via ``exec``, into single Python functions
-that retire the whole run with no per-instruction dispatch at all.
+The trace tier is not a separate interpreter: ``CPU.run`` owns the
+checkpoint, the batched overflow countdown and the dispatch chain for
+every non-reference engine (see DESIGN.md §11).  This module supplies
+what it chains between checkpoints: straight-line runs of predecoded
+table rows (*superblocks*) compiled, via ``exec``, into single Python
+functions that retire the whole run with no per-instruction dispatch at
+all.  It holds the block compiler, :class:`TraceProgram` (the per-row
+block table and its statistics) and :func:`get_program` (the cache).
 
 Invariants that keep trace-engine journals byte-identical to the
 reference interpreter:
 
 * **Checkpoints happen at exactly the fast engine's instruction counts.**
-  The trampoline computes the same countdown the fast engine does and
-  only enters a compiled block when the block's worst-case length fits
-  inside it (``n <= left``); otherwise it deoptimizes into a bounded
-  *burst* of the per-instruction dispatch chain.  Any instruction that
-  breaks the "every instruction costs exactly ``base_cycles``"
-  assumption (cache/TLB miss penalty, armed trap, kernel service,
+  ``CPU.run`` only enters a compiled block when the block's worst-case
+  length fits inside the countdown (``n <= left``); otherwise it
+  deoptimizes into a bounded burst of its dispatch chain.  Any
+  instruction that breaks the "every instruction costs exactly
+  ``base_cycles``" assumption (cache/TLB miss penalty, armed trap,
   prefetch wait) makes the block exit early — after retiring that
   instruction — so the checkpoint runs at that very spot, as in the fast
   engine.
 * **Blocks perform observable side effects in program order.** Register
   and memory writes, ``counters.record`` calls for per-access events
   (dcrm/dtlbm/ecref/ecrm/ecstall) and pending-trap appends are emitted
-  into the generated code in exactly the order the per-instruction loop
+  into the generated code in exactly the order the dispatch chain
   performs them, with PCs, immediates and penalties constant-folded.
 * **Pure bookkeeping is deferred.** Instruction/cycle totals and the MRU
   D$/DTLB tallies accumulate as static per-block deltas applied at block
@@ -33,12 +34,12 @@ reference interpreter:
 * **Nothing that can transfer control mid-run is compiled.** ``TA``,
   ``HALT`` and ``K_BAD`` rows terminate block discovery; faults raised
   inside a block first write the architectural state (including partial
-  cycle penalties) back to the state hub, so ``finally``-path
-  finalization sees exactly what the fast engine would have.
+  cycle penalties) back to the state hub, which ``CPU.run`` reloads into
+  its locals before its own finalization runs.
 * **Extended-taxonomy events are not inlined.** When a run watches one
   of the branch/bandwidth/latency counters (``counters.EXTENDED_EVENTS``)
-  ``CPU.run`` never enters this tier: it deopts the whole run to the
-  fast interpreter loop, which keeps the journals byte-identical without
+  ``CPU.run`` never fetches a program: the whole run stays on the
+  dispatch chain, which keeps the journals byte-identical without
   teaching the block compiler about per-branch records.
 
 Blocks are compiled in one of two modes, chosen per ``run()`` call:
@@ -52,47 +53,38 @@ Blocks are compiled in one of two modes, chosen per ``run()`` call:
   ``pen`` local and blocks always run to their control-flow exits.
   Additionally, a block whose walk finds a back edge to its own start
   is recompiled as an **in-block loop**: the body iterates under a
-  deadline guard (``left - dn >= n``) and returns to the trampoline
-  only when a worst-case pass no longer fits the countdown, so a hot
+  deadline guard (``left - dn >= n``) and returns to ``CPU.run`` only
+  when a worst-case pass no longer fits the countdown, so a hot
   self-loop costs one call per checkpoint window instead of one per
   iteration.  Loop bodies break straight-line emission-order reasoning
   (iteration 2 reaches the earliest exit *after* the whole body ran),
   so the recompile is seeded with the first pass's full mutation set
   and every exit passes the live locals.
 
-Compiled blocks communicate with the trampoline through a single shared
+Compiled blocks communicate with ``CPU.run`` through a single shared
 list (the *state hub* ``st``); its slots are the ``_ST_*`` constants
-below.  Blocks are invalidated whenever the dispatch table is rebuilt
-(self-modifying/reassigned code), the counter-watching set changes, the
-events-exit mode flips, or any bound machine object is replaced — see
-``_bind_key``.
+below.  ``CPU.run`` copies its locals into the hub before chaining
+blocks and reloads them afterwards.  Blocks are invalidated whenever the
+dispatch table is rebuilt (reassigned code), the counter-watching set
+changes, the events-exit mode flips, or any bound machine object is
+replaced — see ``_bind_key``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..config import TRACE_DEFAULTS
-from ..errors import (
-    DivisionByZero,
-    IllegalInstruction,
-    MachineError,
-    MemoryFault,
-    SimulatedCrash,
-    WatchdogExpired,
-)
+from ..errors import DivisionByZero, MemoryFault
 from ..isa import decode as D
-from ..isa.decode import SIMPLE_KIND_MAX, static_block_leaders
+from ..isa.decode import SIMPLE_KIND_MAX
 from ..isa.registers import REG_RA
-from .cpu import TRAP_CYCLES
 
 _U64 = 1 << 64
 _U64M = _U64 - 1
 _S64_MAX = (1 << 63) - 1
 _S64_MIN = -(1 << 63)
-_BIG = 1 << 62
 
-# State-hub slots: the one list every compiled block and the trampoline
+# State-hub slots: the one list every compiled block and ``CPU.run``
 # share.  0/1 are the dispatch-table row stand-ins for pc/npc.
 _ST_I = 0
 _ST_NI = 1
@@ -139,7 +131,7 @@ def _fx(st, i, ni, dcyc, n, cc, ecs, sb, se, ss, mp, th, dr, dw):
 
 
 def _fev(st, i, ni, dcyc, n, cc, ecs, sb, se, ss, mp, th, dr, dw):
-    """Event exit: like :func:`_fx` but flags the trampoline to checkpoint."""
+    """Event exit: like :func:`_fx` but flags ``CPU.run`` to checkpoint."""
     _fx(st, i, ni, dcyc, n, cc, ecs, sb, se, ss, mp, th, dr, dw)
     st[13] = 1
     return n
@@ -332,7 +324,7 @@ class _BlockCompiler:
         In no-events-exit mode, a block whose walk finds a back edge to
         its own start row is recompiled as an *in-block loop*: the body
         iterates under a deadline guard (``left - dn >= n``) and only
-        returns to the trampoline when the countdown no longer fits a
+        returns to ``CPU.run`` when the countdown no longer fits a
         worst-case pass, so a hot self-loop costs one call per
         checkpoint window instead of one per iteration.
         """
@@ -928,9 +920,8 @@ class TraceProgram:
     """Compiled-superblock table for one (code, machine, watching) binding.
 
     ``btab[row]`` is ``None`` (never considered), ``False`` (considered
-    and rejected / too short), or ``(n, fn)``.  Static leaders are
-    compiled eagerly at construction; rows reached by computed jumps
-    compile lazily once their entry count crosses ``hot_threshold``.
+    and rejected / too short), or ``(n, fn)``.  Compilation is lazy: a
+    row compiles once ``CPU.run`` has entered it ``hot_threshold`` times.
     """
 
     def __init__(self, cpu, cfg, events_exit: bool = True) -> None:
@@ -948,7 +939,6 @@ class TraceProgram:
             "blocks_compiled": 0,
             "blocks_rejected": 0,
             "block_instructions": 0,
-            "eager_leaders": 0,
             "block_calls": 0,
             "trace_retired": 0,
             "burst_retired": 0,
@@ -958,10 +948,6 @@ class TraceProgram:
             "deopt_cold": 0,
         }
         self.key = _bind_key(cpu)
-        leaders = static_block_leaders(dec, len(cpu.code))
-        for row in leaders[: cfg.max_eager_blocks]:
-            self.compile_row(row)
-        self.stats["eager_leaders"] = min(len(leaders), cfg.max_eager_blocks)
 
     def compile_row(self, row: int):
         """Compile (or reject) the block at ``row``; returns the btab entry."""
@@ -999,907 +985,4 @@ def get_program(cpu, events_exit: bool = True) -> TraceProgram:
     return prog
 
 
-def run_trace(
-    cpu,
-    max_instructions: Optional[int] = None,
-    max_cycles: Optional[int] = None,
-    watchdog_instructions: Optional[int] = None,
-) -> int:
-    """Trace-engine main loop: checkpoints and countdowns identical to the
-    fast engine's, with compiled superblocks (or bounded deopt bursts of
-    the per-instruction dispatch chain) retiring the instructions between
-    them.  Returns instructions executed, like ``CPU.run``.
-    """
-    self = cpu
-    # Penalties only have to checkpoint when something in the cycle
-    # domain (or a watcher that stamps checkpoint state into traps) can
-    # observe them; a plain unprofiled run compiles penalty-accumulating
-    # blocks instead, which run to their control-flow exits.
-    events_exit = bool(
-        cpu.counters.watching
-        or cpu.pending_traps
-        or cpu.clock_interval_cycles
-        or cpu.kill_at_cycle is not None
-        or max_cycles is not None
-    )
-    prog = get_program(cpu, events_exit)
-    st = prog.st
-    btab = prog.btab
-    counts = prog.counts
-    compile_row = prog.compile_row
-    hot = prog.cfg.hot_threshold
-    burst_size = prog.cfg.burst_instructions
-    stats = prog.stats
-
-    # Bind everything the checkpoint and the burst interpreter touch.
-    regs = self.regs
-    memory = self.memory
-    words = memory.words
-    mem_base = memory.base
-    nwords = len(words)
-    dcache = self.dcache
-    ecache = self.ecache
-    dtlb = self.dtlb
-    counters = self.counters
-    watching = counters.watching
-    record = counters.record
-    remaining = counters.remaining
-    pending = self.pending_traps
-    callstack = self.callstack
-    text_base = self.text_base
-    ncode = len(self.code)
-    dec = prog.dec
-    base_cycles = self.base_cycles
-    ec_hit_cycles = ecache.config.hit_cycles
-    ec_miss_cycles = ecache.config.miss_cycles
-    dtlb_miss_cycles = self.dtlb_miss_cycles
-    store_stall_cycles = self.store_stall_cycles
-    inflight = self.inflight_prefetches
-    ec_line_shift = ecache.line_shift
-    dc_shift = dcache.line_shift
-    dc_mask = dcache.set_mask
-    dc_sets = dcache.sets
-
-    w_cycles = watching.get("cycles")
-    w_insts = watching.get("insts")
-    w_dcrm = watching.get("dcrm")
-    w_dtlbm = watching.get("dtlbm")
-    w_ecref = watching.get("ecref")
-    w_ecrm = watching.get("ecrm")
-    w_ecstall = watching.get("ecstall")
-
-    K_SET, K_MOV, K_NOP = D.K_SET, D.K_MOV, D.K_NOP
-    K_CMP_I, K_CMP_R = D.K_CMP_I, D.K_CMP_R
-    K_ADD_I, K_ADD_R = D.K_ADD_I, D.K_ADD_R
-    K_SUB_I, K_SUB_R = D.K_SUB_I, D.K_SUB_R
-    K_MULX_I, K_MULX_R = D.K_MULX_I, D.K_MULX_R
-    K_AND_I, K_AND_R = D.K_AND_I, D.K_AND_R
-    K_OR_I, K_OR_R = D.K_OR_I, D.K_OR_R
-    K_XOR_I, K_XOR_R = D.K_XOR_I, D.K_XOR_R
-    K_SLLX_I, K_SLLX_R = D.K_SLLX_I, D.K_SLLX_R
-    K_SRLX_I, K_SRLX_R = D.K_SRLX_I, D.K_SRLX_R
-    K_SRAX_I, K_SRAX_R = D.K_SRAX_I, D.K_SRAX_R
-    K_BA, K_BE, K_BNE = D.K_BA, D.K_BE, D.K_BNE
-    K_BG, K_BGE, K_BL, K_BLE = D.K_BG, D.K_BGE, D.K_BL, D.K_BLE
-    K_CALL, K_JMPL, K_TA, K_HALT = D.K_CALL, D.K_JMPL, D.K_TA, D.K_HALT
-    K_BAD = D.K_BAD
-
-    budget = -1 if max_instructions is None else max_instructions
-    kill_at = self.kill_at_cycle
-    start_count = self.instr_count
-    flushed_insts = start_count
-    flushed_cycles = self.cycles
-
-    if self.halted or budget == 0:
-        return 0
-
-    tb = text_base
-    pc = self.pc
-    npc = self.npc
-    i = (pc - tb) >> 2
-    if pc & 3 or i < 0 or i > ncode:
-        raise IllegalInstruction(f"fetch from 0x{pc:x}")
-    ni = (npc - tb) >> 2
-    bad_pc = None
-    if npc & 3 or ni < 0 or ni > ncode:
-        bad_pc = npc
-        ni = ncode
-
-    st[0] = i
-    st[1] = ni
-    st[2] = getattr(self, "_cc", 0)
-    st[3] = self.cycles
-    st[4] = self.instr_count
-    st[5] = self.ecstall_cycles
-    st[6] = 1       # invalid MRU segment: first access takes the slow path
-    st[7] = 0
-    st[8] = 0
-    st[9] = -1
-    st[10] = 0
-    st[11] = 0
-    st[12] = 0
-    st[13] = 0
-    st[14] = bad_pc
-
-    s_block_calls = 0
-    s_trace = 0
-    s_burst = 0
-    s_split = 0
-    s_entry = 0
-    s_event = 0
-    s_cold = 0
-
-    fresh = True
-    try:
-        while True:
-            # ---- checkpoint: identical bookkeeping, at identical
-            # instruction counts, to the fast engine's (cpu.py).
-            if not fresh:
-                i = st[0]
-                ni = st[1]
-                cyc = st[3]
-                icnt = st[4]
-                bad_pc = st[14]
-                pc = tb + (i << 2)
-                npc = (
-                    bad_pc
-                    if ni == ncode and bad_pc is not None
-                    else tb + (ni << 2)
-                )
-                if st[10]:
-                    dtlb.refs += st[10]
-                    st[10] = 0
-                if st[11]:
-                    dcache.read_refs += st[11]
-                    st[11] = 0
-                if st[12]:
-                    dcache.write_refs += st[12]
-                    st[12] = 0
-                if w_insts is not None:
-                    n = icnt - flushed_insts
-                    if n:
-                        skid = record(w_insts, n)
-                        if skid >= 0:
-                            pending.append(
-                                [icnt + skid, w_insts, skid, pc,
-                                 counters.last_coalesced, None]
-                            )
-                if w_cycles is not None:
-                    n = cyc - flushed_cycles
-                    if n:
-                        skid = record(w_cycles, n)
-                        if skid >= 0:
-                            pending.append(
-                                [icnt + skid, w_cycles, skid, pc,
-                                 counters.last_coalesced, None]
-                            )
-                flushed_insts = icnt
-                flushed_cycles = cyc
-                if pending:
-                    due = None
-                    for trap in pending:
-                        if trap[0] <= icnt:
-                            if due is None:
-                                due = []
-                            due.append(trap)
-                    if due:
-                        handler = self.overflow_handler
-                        self.pc, self.npc = pc, npc
-                        self.cycles, self.instr_count = cyc, icnt
-                        self.ecstall_cycles = st[5]
-                        for trap in due:
-                            pending.remove(trap)
-                            if handler is not None:
-                                handler(
-                                    self.snapshot(
-                                        trap[1], trap[2], trap[3], trap[4],
-                                        trap[5],
-                                        trap[6] if len(trap) > 6 else None,
-                                    )
-                                )
-                if self.clock_interval_cycles and cyc >= self.next_clock_tick:
-                    handler2 = self.clock_handler
-                    self.pc, self.npc = pc, npc
-                    self.cycles, self.instr_count = cyc, icnt
-                    self.ecstall_cycles = st[5]
-                    while self.next_clock_tick <= cyc:
-                        self.next_clock_tick += self.clock_interval_cycles
-                        if handler2 is not None:
-                            handler2(pc, cyc, tuple(callstack))
-                if kill_at is not None and cyc >= kill_at:
-                    raise SimulatedCrash(
-                        f"injected kill at cycle {cyc} (pc 0x{pc:x})"
-                    )
-                if max_cycles is not None and cyc >= max_cycles:
-                    raise WatchdogExpired(
-                        f"cycle watchdog: {cyc} >= {max_cycles} "
-                        f"(pc 0x{pc:x})"
-                    )
-                if (
-                    watchdog_instructions is not None
-                    and icnt >= watchdog_instructions
-                ):
-                    raise WatchdogExpired(
-                        f"instruction watchdog: {icnt} >= "
-                        f"{watchdog_instructions} (pc 0x{pc:x})"
-                    )
-                if self.halted:
-                    break
-                if budget >= 0 and icnt - start_count >= budget:
-                    break
-            fresh = False
-
-            # ---- countdown to the next possible observable event
-            # (identical to the fast engine's computation)
-            icnt = st[4]
-            cyc = st[3]
-            nxt = _BIG
-            if w_insts is not None:
-                nxt = remaining[w_insts]
-            if w_cycles is not None:
-                v = -(-remaining[w_cycles] // base_cycles)
-                if v < nxt:
-                    nxt = v
-            if pending:
-                v = min(trap[0] for trap in pending) - icnt
-                if v < nxt:
-                    nxt = v
-            if self.clock_interval_cycles:
-                v = -(-(self.next_clock_tick - cyc) // base_cycles)
-                if v < nxt:
-                    nxt = v
-            if kill_at is not None:
-                v = -(-(kill_at - cyc) // base_cycles)
-                if v < nxt:
-                    nxt = v
-            if max_cycles is not None:
-                v = -(-(max_cycles - cyc) // base_cycles)
-                if v < nxt:
-                    nxt = v
-            if watchdog_instructions is not None:
-                v = watchdog_instructions - icnt
-                if v < nxt:
-                    nxt = v
-            if budget >= 0:
-                v = budget - (icnt - start_count)
-                if v < nxt:
-                    nxt = v
-            left = nxt if nxt > 0 else 1
-
-            # ---- execute `left` instructions: chain compiled blocks
-            # while they fit the deadline, deoptimize to bounded bursts
-            # of the dispatch chain otherwise.
-            while left > 0:
-                i = st[0]
-                ent = btab[i]
-                if ent is None:
-                    c = counts.get(i, 0) + 1
-                    counts[i] = c
-                    ent = compile_row(i) if c >= hot else False
-                if ent is not False:
-                    if st[1] != i + 1:
-                        # mid-block entry (e.g. resuming in a delay slot):
-                        # the block assumes sequential npc — deopt
-                        s_entry += 1
-                    elif ent[0] <= left:
-                        retired = ent[1](left)
-                        s_block_calls += 1
-                        s_trace += retired
-                        left -= retired
-                        if st[13]:
-                            st[13] = 0
-                            s_event += 1
-                            break  # event inside the block: checkpoint now
-                        continue
-                    else:
-                        # deadline lands inside the block: split by
-                        # interpreting the remainder
-                        s_split += 1
-                else:
-                    s_cold += 1
-                burst = left if left < burst_size else burst_size
-
-                # ---- deopt burst: the fast engine's dispatch chain,
-                # verbatim, for at most `burst` instructions.  Locals are
-                # loaded from / stored to the state hub around the burst
-                # (the finally keeps st consistent even when an arm
-                # raises), so blocks and bursts interleave freely.
-                i = st[0]
-                ni = st[1]
-                cc = st[2]
-                cycles = st[3]
-                instr_count = st[4]
-                ecstall_total = st[5]
-                seg_base = st[6]
-                seg_end = st[7]
-                seg_shift = st[8]
-                mru_page = st[9]
-                tlb_hits = st[10]
-                dc_read_hits = st[11]
-                dc_write_hits = st[12]
-                bad_pc = st[14]
-                icount0 = instr_count
-                ev = False
-                brk = False
-                try:
-                    for _ in range(burst):
-                        e = dec[i]
-                        k = e[0]
-                        if k < 4:  # LDX / LDUB
-                            o = e[3]
-                            ea = regs[e[2]] + (regs[o] if k & 1 else o)
-                            lcyc = cycles
-                            if seg_base <= ea < seg_end and (ea >> seg_shift) == mru_page:
-                                tlb_hits += 1
-                            else:
-                                if not dtlb.lookup(ea, memory):
-                                    cycles += dtlb_miss_cycles
-                                    brk = True
-                                    if w_dtlbm is not None:
-                                        skid = record(w_dtlbm, 1)
-                                        if skid >= 0:
-                                            pending.append(
-                                                [instr_count + 1 + skid, w_dtlbm,
-                                                 skid, tb + (i << 2),
-                                                 counters.last_coalesced, ea]
-                                            )
-                                seg = dtlb._seg_cache
-                                seg_base = seg.base
-                                seg_end = seg_base + seg.size
-                                seg_shift = seg.page_shift
-                                mru_page = ea >> seg_shift
-                            full_miss = False
-                            line = ea >> dc_shift
-                            dcset = dc_sets[line & dc_mask]
-                            if dcset and dcset[0] == line:
-                                dc_read_hits += 1
-                            elif not dcache.access(ea, False):
-                                brk = True
-                                if w_dcrm is not None:
-                                    skid = record(w_dcrm, 1)
-                                    if skid >= 0:
-                                        pending.append(
-                                            [instr_count + 1 + skid, w_dcrm, skid,
-                                             tb + (i << 2),
-                                             counters.last_coalesced, ea]
-                                        )
-                                cycles += ec_hit_cycles
-                                if w_ecref is not None:
-                                    skid = record(w_ecref, 1)
-                                    if skid >= 0:
-                                        pending.append(
-                                            [instr_count + 1 + skid, w_ecref, skid,
-                                             tb + (i << 2),
-                                             counters.last_coalesced, ea]
-                                        )
-                                if not ecache.access(ea, False):
-                                    full_miss = True
-                                    cycles += ec_miss_cycles
-                                    ecstall_total += ec_miss_cycles
-                                    if w_ecrm is not None:
-                                        skid = record(w_ecrm, 1)
-                                        if skid >= 0:
-                                            pending.append(
-                                                [instr_count + 1 + skid, w_ecrm,
-                                                 skid, tb + (i << 2),
-                                                 counters.last_coalesced, ea]
-                                            )
-                                    if w_ecstall is not None:
-                                        skid = record(w_ecstall, ec_miss_cycles)
-                                        if skid >= 0:
-                                            pending.append(
-                                                [instr_count + 1 + skid, w_ecstall,
-                                                 skid, tb + (i << 2),
-                                                 counters.last_coalesced, ea]
-                                            )
-                            if inflight:
-                                ready = inflight.pop(ea >> ec_line_shift, None)
-                                if ready is not None and not full_miss and ready > lcyc:
-                                    wait = ready - lcyc
-                                    cycles += wait
-                                    ecstall_total += wait
-                                    brk = True
-                                if inflight:
-                                    stale = [
-                                        ln for ln, r in inflight.items() if r <= cycles
-                                    ]
-                                    for ln in stale:
-                                        del inflight[ln]
-                            if k < 2:  # LDX
-                                if ea & 7:
-                                    raise MemoryFault(ea, "misaligned 8-byte load")
-                                widx = (ea - mem_base) >> 3
-                                if widx < 0 or widx >= nwords:
-                                    raise MemoryFault(ea)
-                                value = words[widx]
-                            else:  # LDUB
-                                widx = (ea - mem_base) >> 3
-                                if widx < 0 or widx >= nwords:
-                                    raise MemoryFault(ea)
-                                value = (words[widx] >> ((ea & 7) << 3)) & 0xFF
-                            rd = e[1]
-                            if rd:
-                                regs[rd] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                            if brk:
-                                brk = False
-                                ev = True
-                                break
-                        elif k == K_SET:
-                            regs[e[1]] = e[2]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_ADD_R:
-                            value = regs[e[2]] + regs[e[3]]
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_ADD_I:
-                            value = regs[e[2]] + e[3]
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_NOP:
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_CMP_R:
-                            cc = regs[e[1]] - regs[e[2]]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_CMP_I:
-                            cc = regs[e[1]] - e[2]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k < 8:  # STX / STB
-                            o = e[3]
-                            ea = regs[e[2]] + (regs[o] if k & 1 else o)
-                            if seg_base <= ea < seg_end and (ea >> seg_shift) == mru_page:
-                                tlb_hits += 1
-                            else:
-                                if not dtlb.lookup(ea, memory):
-                                    cycles += dtlb_miss_cycles
-                                    brk = True
-                                    if w_dtlbm is not None:
-                                        skid = record(w_dtlbm, 1)
-                                        if skid >= 0:
-                                            pending.append(
-                                                [instr_count + 1 + skid, w_dtlbm,
-                                                 skid, tb + (i << 2),
-                                                 counters.last_coalesced, ea]
-                                            )
-                                seg = dtlb._seg_cache
-                                seg_base = seg.base
-                                seg_end = seg_base + seg.size
-                                seg_shift = seg.page_shift
-                                mru_page = ea >> seg_shift
-                            line = ea >> dc_shift
-                            dcset = dc_sets[line & dc_mask]
-                            if dcset and dcset[0] == line:
-                                dc_write_hits += 1
-                            elif not dcache.access(ea, True):
-                                brk = True
-                                if store_stall_cycles:
-                                    cycles += store_stall_cycles
-                                if w_ecref is not None:
-                                    skid = record(w_ecref, 1)
-                                    if skid >= 0:
-                                        pending.append(
-                                            [instr_count + 1 + skid, w_ecref, skid,
-                                             tb + (i << 2),
-                                             counters.last_coalesced, ea]
-                                        )
-                                ecache.access(ea, True)
-                            if inflight:
-                                inflight.pop(ea >> ec_line_shift, None)
-                                if inflight:
-                                    stale = [
-                                        ln for ln, r in inflight.items() if r <= cycles
-                                    ]
-                                    for ln in stale:
-                                        del inflight[ln]
-                            if k < 6:  # STX
-                                if ea & 7:
-                                    raise MemoryFault(ea, "misaligned 8-byte store")
-                                widx = (ea - mem_base) >> 3
-                                if widx < 0 or widx >= nwords:
-                                    raise MemoryFault(ea)
-                                words[widx] = regs[e[1]]
-                            else:  # STB
-                                widx = (ea - mem_base) >> 3
-                                if widx < 0 or widx >= nwords:
-                                    raise MemoryFault(ea)
-                                shift = (ea & 7) << 3
-                                word = words[widx] & _U64M
-                                word = (word & ~(0xFF << shift)) | (
-                                    (regs[e[1]] & 0xFF) << shift
-                                )
-                                if word > _S64_MAX:
-                                    word -= _U64
-                                words[widx] = word
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                            if brk:
-                                brk = False
-                                ev = True
-                                break
-                        elif k == K_MOV:
-                            regs[e[1]] = regs[e[2]]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_BGE:
-                            if cc >= 0:
-                                i = ni
-                                ni = e[1]
-                            else:
-                                i = ni
-                                ni += 1
-                            instr_count += 1
-                            cycles += base_cycles
-                        elif k == K_BA:
-                            i = ni
-                            ni = e[1]
-                            instr_count += 1
-                            cycles += base_cycles
-                        elif k == K_MULX_R:
-                            value = regs[e[2]] * regs[e[3]]
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_BL:
-                            if cc < 0:
-                                i = ni
-                                ni = e[1]
-                            else:
-                                i = ni
-                                ni += 1
-                            instr_count += 1
-                            cycles += base_cycles
-                        elif k == K_BNE:
-                            if cc != 0:
-                                i = ni
-                                ni = e[1]
-                            else:
-                                i = ni
-                                ni += 1
-                            instr_count += 1
-                            cycles += base_cycles
-                        elif k == K_SLLX_I:
-                            value = regs[e[2]] << e[3]
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_SUB_R:
-                            value = regs[e[2]] - regs[e[3]]
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_SUB_I:
-                            value = regs[e[2]] - e[3]
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_BE:
-                            if cc == 0:
-                                i = ni
-                                ni = e[1]
-                            else:
-                                i = ni
-                                ni += 1
-                            instr_count += 1
-                            cycles += base_cycles
-                        elif k == K_BG:
-                            if cc > 0:
-                                i = ni
-                                ni = e[1]
-                            else:
-                                i = ni
-                                ni += 1
-                            instr_count += 1
-                            cycles += base_cycles
-                        elif k == K_BLE:
-                            if cc <= 0:
-                                i = ni
-                                ni = e[1]
-                            else:
-                                i = ni
-                                ni += 1
-                            instr_count += 1
-                            cycles += base_cycles
-                        elif k == K_MULX_I:
-                            value = regs[e[2]] * e[3]
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_CALL:
-                            xpc = tb + (i << 2)
-                            regs[REG_RA] = xpc
-                            callstack.append(xpc)
-                            i = ni
-                            ni = e[1]
-                            instr_count += 1
-                            cycles += base_cycles
-                        elif k == K_JMPL:
-                            rd = e[1]
-                            if rd:
-                                regs[rd] = tb + (i << 2)
-                            t = regs[e[2]] + e[3]
-                            if e[4] and callstack:
-                                callstack.pop()
-                            ti = (t - tb) >> 2
-                            if t & 3 or ti < 0 or ti > ncode:
-                                bad_pc = t
-                                ti = ncode
-                            i = ni
-                            ni = ti
-                            instr_count += 1
-                            cycles += base_cycles
-                        elif k < 10:  # PREFETCH
-                            o = e[3]
-                            ea = regs[e[2]] + (regs[o] if k & 1 else o)
-                            try:
-                                translated = dtlb.peek(ea, memory)
-                            except MemoryFault:
-                                translated = False
-                            if translated and not dcache.access(ea, False):
-                                if not ecache.access(ea, False):
-                                    inflight[ea >> ec_line_shift] = (
-                                        cycles + ec_miss_cycles
-                                    )
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_AND_R:
-                            regs[e[1]] = regs[e[2]] & regs[e[3]]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_AND_I:
-                            regs[e[1]] = regs[e[2]] & e[3]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_OR_R:
-                            regs[e[1]] = regs[e[2]] | regs[e[3]]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_OR_I:
-                            regs[e[1]] = regs[e[2]] | e[3]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_XOR_R:
-                            regs[e[1]] = regs[e[2]] ^ regs[e[3]]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_XOR_I:
-                            regs[e[1]] = regs[e[2]] ^ e[3]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_SLLX_R:
-                            value = regs[e[2]] << (regs[e[3]] & 63)
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_SRLX_I:
-                            value = (regs[e[2]] & _U64M) >> e[3]
-                            if value > _S64_MAX:
-                                value -= _U64
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_SRLX_R:
-                            value = (regs[e[2]] & _U64M) >> (regs[e[3]] & 63)
-                            if value > _S64_MAX:
-                                value -= _U64
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_SRAX_I:
-                            regs[e[1]] = regs[e[2]] >> e[3]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_SRAX_R:
-                            regs[e[1]] = regs[e[2]] >> (regs[e[3]] & 63)
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k < 38:  # SDIVX / SMODX
-                            o = e[3]
-                            b = regs[o] if k & 1 else o
-                            a = regs[e[2]]
-                            if b == 0:
-                                raise DivisionByZero(f"at pc 0x{tb + (i << 2):x}")
-                            q = abs(a) // abs(b)
-                            if (a < 0) != (b < 0):
-                                q = -q
-                            value = q if k < 36 else a - q * b
-                            rd = e[1]
-                            if rd:
-                                regs[rd] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_TA:
-                            service = self.kernel_service
-                            if service is None:
-                                raise MachineError(f"trap {e[1]} with no kernel")
-                            self.pc = tb + (i << 2)
-                            self.npc = (
-                                bad_pc
-                                if ni == ncode and bad_pc is not None
-                                else tb + (ni << 2)
-                            )
-                            self.cycles, self.instr_count = cycles, instr_count
-                            self.ecstall_cycles = ecstall_total
-                            if tlb_hits:
-                                dtlb.refs += tlb_hits
-                                tlb_hits = 0
-                            if dc_read_hits:
-                                dcache.read_refs += dc_read_hits
-                                dc_read_hits = 0
-                            if dc_write_hits:
-                                dcache.write_refs += dc_write_hits
-                                dc_write_hits = 0
-                            service(self, e[1])
-                            cycles += TRAP_CYCLES
-                            self.system_cycles += TRAP_CYCLES
-                            seg_base, seg_end, mru_page = 1, 0, -1
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                            ev = True
-                            break
-                        elif k == K_HALT:
-                            self.halted = True
-                            self.exit_code = regs[8]  # %o0
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                            ev = True
-                            break
-                        elif k == K_BAD:
-                            p = e[1]
-                            if p is None:
-                                p = bad_pc if bad_pc is not None else tb + (i << 2)
-                            bad_pc = p
-                            raise IllegalInstruction(f"fetch from 0x{p:x}")
-                        else:  # pragma: no cover - predecode rejects unknown ops
-                            raise IllegalInstruction(
-                                f"unknown kind {k} at 0x{tb + (i << 2):x}"
-                            )
-                finally:
-                    st[0] = i
-                    st[1] = ni
-                    st[2] = cc
-                    st[3] = cycles
-                    st[4] = instr_count
-                    st[5] = ecstall_total
-                    st[6] = seg_base
-                    st[7] = seg_end
-                    st[8] = seg_shift
-                    st[9] = mru_page
-                    st[10] = tlb_hits
-                    st[11] = dc_read_hits
-                    st[12] = dc_write_hits
-                    st[14] = bad_pc
-                done = instr_count - icount0
-                left -= done
-                s_burst += done
-                if ev:
-                    break
-
-    finally:
-        # Mirror the fast engine's finalization: everything retired but
-        # unflushed cost exactly base_cycles (any instruction with extra
-        # cycles forced a checkpoint or an early block exit that breaks
-        # to one), so counter totals track ground truth even when a
-        # fault/deadline raised mid-run.
-        icnt = st[4]
-        n = icnt - flushed_insts
-        if n:
-            if w_insts is not None:
-                record(w_insts, n)
-            if w_cycles is not None:
-                record(w_cycles, n * base_cycles)
-        if st[10]:
-            dtlb.refs += st[10]
-            st[10] = 0
-        if st[11]:
-            dcache.read_refs += st[11]
-            st[11] = 0
-        if st[12]:
-            dcache.write_refs += st[12]
-            st[12] = 0
-        i = st[0]
-        ni = st[1]
-        bad_pc = st[14]
-        if i >= ncode and bad_pc is not None:
-            self.pc = bad_pc
-        else:
-            self.pc = tb + (i << 2)
-        if ni == ncode and bad_pc is not None and i < ncode:
-            self.npc = bad_pc
-        else:
-            self.npc = tb + (ni << 2)
-        self.cycles = st[3]
-        self.instr_count = icnt
-        self.ecstall_cycles = st[5]
-        self._cc = st[2]
-        stats["block_calls"] += s_block_calls
-        stats["trace_retired"] += s_trace
-        stats["burst_retired"] += s_burst
-        stats["deopt_split"] += s_split
-        stats["deopt_entry"] += s_entry
-        stats["deopt_event"] += s_event
-        stats["deopt_cold"] += s_cold
-    return st[4] - start_count
-
-
-__all__ = ["TraceProgram", "get_program", "run_trace"]
+__all__ = ["TraceProgram", "get_program"]

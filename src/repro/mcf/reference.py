@@ -314,14 +314,6 @@ class NetworkSimplex:
             parent.child.sibling_prev = node
         parent.child = node
 
-    def _subtree_contains(self, root: Node, node: Node) -> bool:
-        v = node
-        while v is not None:
-            if v is root:
-                return True
-            v = v.pred
-        return False
-
     def update_tree(self, entering: Arc, leaving_node: Node, q: Node, h: Node) -> None:
         """Re-root the cut subtree: reverse pred pointers along q..w and
         hang q under h via the entering arc (w = leaving_node)."""

@@ -11,7 +11,7 @@ interval-1 counters.
 import pytest
 
 from repro import build_executable, tiny_config
-from repro.collect.collector import CollectConfig, collect
+from repro.collect.collector import CollectConfig, Collector, collect
 from repro.config import TraceEngineConfig
 from repro.errors import WatchdogExpired
 from repro.kernel.process import Process
@@ -149,7 +149,7 @@ class TestDeoptBoundaries:
         program = build_executable(HOT_LOOP, name="hotloop")
         tiny = TraceEngineConfig(hot_threshold=1, max_block_instructions=2,
                                  min_block_instructions=2,
-                                 burst_instructions=1, max_eager_blocks=0)
+                                 burst_instructions=1)
         ref, _ = _run(program, "reference", max_instructions=5000)
         got, _ = _run(program, "trace", trace_config=tiny,
                       max_instructions=5000)
@@ -212,6 +212,20 @@ class TestProgramCacheAndStats:
         # a plain run of a loop has no observable mid-block events
         assert stats["deopt_event"] == 0
 
+    def test_trace_stats_accounting_watched(self):
+        """A watched run compiles events-exit blocks: a miss inside a
+        block exits it early, and the dispatch chain retires the rest."""
+        program = build_executable(HOT_LOOP, name="hotloop")
+        experiment = collect(program, tiny_config(),
+                             CollectConfig(counters=["+ecrm,13"],
+                                           engine="trace"),
+                             input_longs=INPUT)
+        stats = experiment.info.trace_stats
+        assert stats["blocks_compiled"] > 0
+        assert stats["trace_retired"] + stats["burst_retired"] \
+            == experiment.info.instructions
+        assert stats["deopt_event"] > 0
+
     def test_trace_config_change_recompiles(self):
         from repro.machine.cpu_trace import get_program
 
@@ -224,8 +238,55 @@ class TestProgramCacheAndStats:
         cpu.trace_config = TraceEngineConfig(hot_threshold=1,
                                              max_block_instructions=8,
                                              min_block_instructions=2,
-                                             burst_instructions=4,
-                                             max_eager_blocks=0)
+                                             burst_instructions=4)
         process.run(max_instructions=8000)
         second = get_program(cpu, events_exit=False)
         assert second is not first
+
+
+class TestEngineSwitching:
+    """``fast`` and ``trace`` share one loop in ``CPU.run``; the trace
+    tier hands its locals to the compiled blocks' state hub and back.
+    Switching engine between budgeted runs whose budgets end mid-block
+    must leave the state and every journal exactly as one reference
+    run does."""
+
+    BUDGETS = (1009, 37, 2003, 5, 613, 3, 1501)
+
+    def _journals(self, tmp_path, name, engine, switching):
+        program = build_executable(HOT_LOOP, name="hotloop")
+        outdir = tmp_path / name
+        collector = Collector(
+            program, tiny_config(),
+            CollectConfig(clock_interval=211,
+                          counters=["+ecrm,13", "+ecstall,59"],
+                          name=name, engine=engine),
+            input_longs=INPUT, journal_to=str(outdir))
+        process = collector.process
+        if switching:
+            whole_run = process.run
+            cpu = process.machine.cpu
+
+            def sliced_run(**kwargs):
+                n = 0
+                while not cpu.halted:
+                    cpu.engine = ("fast", "trace")[n % 2]
+                    whole_run(max_instructions=self.BUDGETS[
+                        n % len(self.BUDGETS)])
+                    n += 1
+                return process.exit_code
+
+            process.run = sliced_run
+        collector.run()
+        saved = collector.experiment.save()
+        journals = {p.name: p.read_bytes() for p in sorted(saved.iterdir())
+                    if p.suffix == ".jsonl"}
+        return _state(process), journals
+
+    def test_switching_matches_reference(self, tmp_path):
+        ref_state, ref = self._journals(tmp_path, "ref", "reference", False)
+        got_state, got = self._journals(tmp_path, "mix", "fast", True)
+        assert {"clock.jsonl", "hwc0.jsonl", "hwc1.jsonl",
+                "truth.jsonl"} <= set(ref)
+        assert got_state == ref_state
+        assert got == ref
