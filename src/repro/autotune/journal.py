@@ -25,11 +25,7 @@ from pathlib import Path
 
 from ..errors import AutotuneError
 from ..ioutil import append_line, atomic_write_text
-
-
-def canonical_line(record: dict) -> str:
-    """The one serialization every journal writer must use."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+from ..ioutil import canonical_json as canonical_line
 
 
 class SearchJournal:

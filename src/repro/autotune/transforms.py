@@ -24,11 +24,11 @@ string used for dedup and for matching journal records on resume.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Tuple
 
 from ..errors import AutotuneError
+from ..ioutil import canonical_json
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,7 @@ def transform_from_dict(record: dict):
 
 def transform_key(transform) -> str:
     """Canonical identity string (dedup + journal matching on resume)."""
-    return json.dumps(transform_to_dict(transform), sort_keys=True,
-                      separators=(",", ":"))
+    return canonical_json(transform_to_dict(transform))
 
 
 def chain_keys(transforms) -> list:

@@ -44,7 +44,7 @@ from typing import Optional
 
 from ..analyze.model import ReducedData
 from ..errors import StoreCorrupt
-from ..ioutil import append_line, atomic_write_bytes
+from ..ioutil import append_line, atomic_write_bytes, canonical_json
 from .retry import RetryPolicy, call_with_retries
 from .spool import FleetPaths
 
@@ -113,7 +113,7 @@ def serialize_aggregate(key: AggregateKey, experiments: dict,
         "experiments": {k: experiments[k] for k in sorted(experiments)},
         "payload": payload,
     }
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    return canonical_json(record).encode()
 
 
 def load_aggregate(paths: FleetPaths, token: str) -> Optional[dict]:
@@ -206,10 +206,7 @@ def window_ledger_has(paths: FleetPaths, sub_id: str, window: str) -> bool:
 def wal_append(paths: FleetPaths, record: dict) -> None:
     """Durably append one WAL record (single O_APPEND write + fsync)."""
     paths.store.mkdir(parents=True, exist_ok=True)
-    append_line(
-        paths.wal, json.dumps(record, sort_keys=True, separators=(",", ":")),
-        durable=True,
-    )
+    append_line(paths.wal, canonical_json(record), durable=True)
 
 
 def wal_records(paths: FleetPaths) -> tuple:
@@ -266,7 +263,7 @@ def wal_checkpoint(paths: FleetPaths) -> int:
     ]
     dropped = len(records) - len(keep) + torn
     text = "".join(
-        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        canonical_json(record) + "\n"
         for record in keep
     )
     atomic_write_bytes(paths.wal, text.encode(), durable=True)

@@ -14,7 +14,9 @@ one of these helpers:
   fsynced), the journal/WAL append primitive: concurrent appenders from
   different processes never interleave within a line;
 * :func:`sha256_file` — streaming file checksum, the identity primitive
-  behind experiment manifests and fleet dedup keys.
+  behind experiment manifests and fleet dedup keys;
+* :func:`canonical_json` — the one key-sorted, whitespace-free JSON form
+  every journal, WAL and dedup key is written in.
 
 The unique temp names (pid + counter) make concurrent writers of the
 same target safe: the loser's rename simply overwrites the winner's
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import os
 from pathlib import Path
 
@@ -96,8 +99,14 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def canonical_json(record) -> str:
+    """Key-sorted JSON without whitespace: equal records, equal bytes."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 __all__ = [
     "append_line",
+    "canonical_json",
     "atomic_write_bytes",
     "atomic_write_text",
     "fsync_dir",

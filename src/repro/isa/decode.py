@@ -43,10 +43,11 @@ the trace compiler in :mod:`repro.machine.cpu_trace`, and tests):
   ``K_JMPL`` computes a target at run time (the CPU redirects
   unrepresentable computed targets to the sentinel and stashes the real
   address in ``bad_pc``);
-* every kind ``<= SIMPLE_KIND_MAX`` is straight-line: it cannot transfer
-  control, and after it retires the next row is ``row + 1``.  This is the
-  property the trace compiler's block discovery
-  (:mod:`repro.machine.cpu_trace`) is built on.
+* every kind has exactly one entry in the semantics table
+  (:mod:`repro.machine.semantics`), whose shape says whether it is
+  straight-line (after it retires the next row is ``row + 1``) — the
+  property the trace compiler's block discovery is built on; the unused
+  gaps (15, 38, 39) are never emitted and have no entry.
 """
 
 from __future__ import annotations
@@ -88,11 +89,6 @@ K_HALT = 50
 #: jump sentinel; control transfers whose target cannot be a valid text
 #: index get a dedicated ``(K_BAD, target)`` row appended after it.
 K_BAD = 51
-
-#: every kind <= this retires straight-line (no control transfer, next
-#: row is always ``row + 1``); the unused gaps (15, 38, 39) are never
-#: emitted by :func:`predecode`, so the inclusive bound is safe.
-SIMPLE_KIND_MAX = K_SMODX_R
 
 _MEM_KINDS = {
     Op.LDX: K_LDX_I,
@@ -226,5 +222,4 @@ def predecode(code: list[Instr], text_base: int) -> list[tuple]:
 
 __all__ = [name for name in globals() if name.startswith("K_")] + [
     "predecode",
-    "SIMPLE_KIND_MAX",
 ]

@@ -276,7 +276,7 @@ class Process:
         thread.callstack = list(cpu.callstack)
         thread.pc = cpu.pc
         thread.npc = cpu.npc
-        thread.cc = getattr(cpu, "_cc", 0)
+        thread.cc = cpu._cc
 
     def _handle_slice_event(self, tid: int, event: tuple) -> None:
         kind = event[0]

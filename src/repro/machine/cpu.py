@@ -15,7 +15,10 @@ The interpreter models what the paper's technique depends on:
 Three execution engines share this model (DESIGN.md §11):
 
 * ``engine="fast"`` (default) runs the predecoded dispatch table from
-  :mod:`repro.isa.decode` with a **batched overflow countdown**: instead
+  :mod:`repro.isa.decode` through a dispatch chain whose arms are
+  rendered from the semantics table (:mod:`repro.machine.semantics`);
+  ``CPU.run`` is rendered from ``_RUN`` and compiled once per process, at
+  import.  It uses a **batched overflow countdown**: instead
   of two ``counters.record()`` calls plus a pending-trap list walk per
   retired instruction, the loop computes how many instructions can retire
   before *anything* observable can happen (counter overflow, trap
@@ -28,8 +31,9 @@ Three execution engines share this model (DESIGN.md §11):
   exact order the per-instruction loop used, which keeps RNG draws, trap
   timing and therefore whole profiles bit-identical (see DESIGN.md).
 * ``engine="trace"`` runs the same loop, but between checkpoints it
-  first chains superblocks exec-compiled by :mod:`repro.machine.cpu_trace`
-  while each one fits the countdown, and falls back to the dispatch
+  first chains superblocks that :mod:`repro.machine.cpu_trace` renders
+  from the same table and exec-compiles, while each one fits the
+  countdown, and falls back to the dispatch
   chain for at most ``burst_instructions`` at a time whenever a deadline
   could land mid-block or control leaves compiled code.  Checkpoint,
   countdown and finalization are the fast engine's own code, so its
@@ -68,10 +72,12 @@ Invariants every engine must preserve:
 
 from __future__ import annotations
 
+import linecache
 import random
 from typing import Callable, Optional
 
 from ..config import TRACE_DEFAULTS
+# every name the rendered ``CPU.run`` uses must be a module global here
 from ..errors import (
     DivisionByZero,
     IllegalInstruction,
@@ -80,19 +86,26 @@ from ..errors import (
     SimulatedCrash,
     WatchdogExpired,
 )
-from ..isa import decode as D
-from ..isa.decode import predecode
+from ..isa.decode import K_BAD, predecode
 from ..isa.instructions import Instr
-from ..isa.registers import NUM_REGS, REG_RA
+from ..isa.registers import NUM_REGS
 from .cache import Cache
 from .counters import EXTENDED_EVENTS, CounterSnapshot, CounterUnit
 from .memory import Memory
+from .semantics import (
+    CHAIN_ORDER,
+    HUB_BROKE,
+    TABLE,
+    WRAP,
+    hub_load,
+    hub_store,
+    operand_env,
+    parse,
+    render,
+    subst,
+)
 from .tlb import TLB
 
-_U64 = 1 << 64
-_U64M = _U64 - 1
-_S64_MAX = (1 << 63) - 1
-_S64_MIN = -(1 << 63)
 _BIG = 1 << 62
 
 #: cycles charged for a kernel service trap (the paper's tiny System CPU time)
@@ -137,6 +150,8 @@ class CPU:
         self.ecstall_cycles = 0
         self.halted = False
         self.exit_code = 0
+        #: condition code: the last CMP's ``rs1 - operand``
+        self._cc = 0
 
         #: which interpreter loop `run` uses: "fast", "trace" or "reference"
         self.engine = "fast"
@@ -271,1105 +286,539 @@ class CPU:
         prog = self._trace_cache
         return dict(prog.stats) if prog is not None else {}
 
+
     # ------------------------------------------------------------- main loop
+    #
+    # ``run`` is rendered from ``_RUN`` and the semantics table, and
+    # compiled once at import (see the bottom of this module).
 
-    def run(
-        self,
-        max_instructions: Optional[int] = None,
-        max_cycles: Optional[int] = None,
-        watchdog_instructions: Optional[int] = None,
-    ) -> int:
-        """Run until HALT (or the budget); returns instructions executed.
 
-        ``max_instructions`` stops gracefully; ``max_cycles`` and
-        ``watchdog_instructions`` are *loud* deadlines that raise
-        :class:`WatchdogExpired` — the collector's runaway-run guard.
-        """
-        if self.engine == "reference":
-            from .cpu_reference import run_reference
+#: ``CPU.run``: checkpoint, countdown and trace-tier chaining around the
+#: dispatch chain, which ``@chain()`` renders from the semantics table
+_RUN = '''
+def run(self, max_instructions=None, max_cycles=None,
+        watchdog_instructions=None):
+    """Run until HALT (or the budget); returns instructions executed.
 
-            return run_reference(
-                self, max_instructions, max_cycles, watchdog_instructions
-            )
+    ``max_instructions`` stops gracefully; ``max_cycles`` and
+    ``watchdog_instructions`` are *loud* deadlines that raise
+    :class:`WatchdogExpired` — the collector's runaway-run guard.
+    """
+    if self.engine == "reference":
+        from .cpu_reference import run_reference
 
-        # Bind everything hot to locals.
-        regs = self.regs
-        memory = self.memory
-        words = memory.words
-        mem_base = memory.base
-        nwords = len(words)
-        dcache = self.dcache
-        ecache = self.ecache
-        dtlb = self.dtlb
-        counters = self.counters
-        watching = counters.watching
-        record = counters.record
-        remaining = counters.remaining
-        pending = self.pending_traps
-        callstack = self.callstack
-        code = self.code
-        text_base = self.text_base
-        ncode = len(code)
-        dec = self._dispatch_table()
-        base_cycles = self.base_cycles
-        ec_hit_cycles = ecache.config.hit_cycles
-        ec_miss_cycles = ecache.config.miss_cycles
-        dtlb_miss_cycles = self.dtlb_miss_cycles
-        store_stall_cycles = self.store_stall_cycles
-        inflight = self.inflight_prefetches
-        ec_line_shift = ecache.line_shift
-        # coherence (multi-core only; None on the historical machine)
-        coh = self.coherence
-        core_id = self.core_index
-        coh_owner = coh.owner if coh is not None else None
-        coh_shift = coh.line_shift if coh is not None else 0
+        return run_reference(
+            self, max_instructions, max_cycles, watchdog_instructions
+        )
 
-        # D$ and DTLB most-recently-used fast paths: a hit on the MRU entry
-        # causes no LRU movement and no state change, so it can be tested
-        # inline and tallied in a local, flushed at every checkpoint.
-        dc_shift = dcache.line_shift
-        dc_mask = dcache.set_mask
-        dc_sets = dcache.sets
-        dc_read_hits = 0
-        dc_write_hits = 0
-        tlb_hits = 0
-        # local cache of the segment of the MRU TLB entry (invalid ranges
-        # force the first access through the slow path)
-        seg_base = 1
-        seg_end = 0
-        seg_shift = 0
-        mru_page = -1
+    # Bind everything hot to locals.
+    regs = self.regs
+    memory = self.memory
+    words = memory.words
+    mem_base = memory.base
+    nwords = len(words)
+    dcache = self.dcache
+    ecache = self.ecache
+    dtlb = self.dtlb
+    dcache_access = dcache.access
+    ecache_access = ecache.access
+    dtlb_lookup = dtlb.lookup
+    dtlb_peek = dtlb.peek
+    counters = self.counters
+    watching = counters.watching
+    record = counters.record
+    remaining = counters.remaining
+    pending = self.pending_traps
+    callstack = self.callstack
+    callstack_append = callstack.append
+    callstack_pop = callstack.pop
+    code = self.code
+    ncode = len(code)
+    dec = self._dispatch_table()
+    base_cycles = self.base_cycles
+    ec_hit_cycles = ecache.config.hit_cycles
+    ec_miss_cycles = ecache.config.miss_cycles
+    dtlb_miss_cycles = self.dtlb_miss_cycles
+    store_stall_cycles = self.store_stall_cycles
+    inflight = self.inflight_prefetches
+    inflight_pop = inflight.pop
+    ec_line_shift = ecache.line_shift
+    _MX, _MN, _UM, _U64 = WRAP["_MX"], WRAP["_MN"], WRAP["_UM"], WRAP["_U64"]
+    # coherence (multi-core only; None on the historical machine)
+    coh = self.coherence
+    core_id = self.core_index
+    coh_owner = coh.owner if coh is not None else None
+    coh_shift = coh.line_shift if coh is not None else 0
 
-        w_cycles = watching.get("cycles")
-        w_insts = watching.get("insts")
-        w_dcrm = watching.get("dcrm")
-        w_dtlbm = watching.get("dtlbm")
-        w_ecref = watching.get("ecref")
-        w_ecrm = watching.get("ecrm")
-        w_ecstall = watching.get("ecstall")
-        w_ldbytes = watching.get("ldbytes")
-        w_stbytes = watching.get("stbytes")
-        w_ldlat = watching.get("ldlat")
-        w_br = watching.get("br")
-        w_brm = watching.get("brm")
-        w_cohm = watching.get("cohm")
-        track_br = w_br is not None or w_brm is not None
+    # D$ and DTLB most-recently-used fast paths: a hit on the MRU entry
+    # causes no LRU movement and no state change, so it can be tested
+    # inline and tallied in a local, flushed at every checkpoint.
+    dc_shift = dcache.line_shift
+    dc_mask = dcache.set_mask
+    dc_sets = dcache.sets
+    dc_r = dc_w = tlb_hits = 0
+    # local cache of the segment of the MRU TLB entry (invalid ranges
+    # force the first access through the slow path)
+    seg_base, seg_end, seg_shift, mru_page = 1, 0, 0, -1
 
-        pc = self.pc
-        npc = self.npc
-        cycles = self.cycles
-        instr_count = self.instr_count
-        ecstall_total = self.ecstall_cycles
-        cc = getattr(self, "_cc", 0)
+    w_cycles = watching.get("cycles")
+    w_insts = watching.get("insts")
+    w_dcrm = watching.get("dcrm")
+    w_dtlbm = watching.get("dtlbm")
+    w_ecref = watching.get("ecref")
+    w_ecrm = watching.get("ecrm")
+    w_ecstall = watching.get("ecstall")
+    w_ldbytes = watching.get("ldbytes")
+    w_stbytes = watching.get("stbytes")
+    w_ldlat = watching.get("ldlat")
+    w_br = watching.get("br")
+    w_brm = watching.get("brm")
+    w_cohm = watching.get("cohm")
+    track_br = w_br is not None or w_brm is not None
 
-        K_SET, K_MOV, K_NOP = D.K_SET, D.K_MOV, D.K_NOP
-        K_CMP_I, K_CMP_R = D.K_CMP_I, D.K_CMP_R
-        K_ADD_I, K_ADD_R = D.K_ADD_I, D.K_ADD_R
-        K_SUB_I, K_SUB_R = D.K_SUB_I, D.K_SUB_R
-        K_MULX_I, K_MULX_R = D.K_MULX_I, D.K_MULX_R
-        K_AND_I, K_AND_R = D.K_AND_I, D.K_AND_R
-        K_OR_I, K_OR_R = D.K_OR_I, D.K_OR_R
-        K_XOR_I, K_XOR_R = D.K_XOR_I, D.K_XOR_R
-        K_SLLX_I, K_SLLX_R = D.K_SLLX_I, D.K_SLLX_R
-        K_SRLX_I, K_SRLX_R = D.K_SRLX_I, D.K_SRLX_R
-        K_SRAX_I, K_SRAX_R = D.K_SRAX_I, D.K_SRAX_R
-        K_BA, K_BE, K_BNE = D.K_BA, D.K_BE, D.K_BNE
-        K_BG, K_BGE, K_BL, K_BLE = D.K_BG, D.K_BGE, D.K_BL, D.K_BLE
-        K_CALL, K_JMPL, K_TA, K_HALT = D.K_CALL, D.K_JMPL, D.K_TA, D.K_HALT
-        K_BAD = D.K_BAD
+    pc = self.pc
+    npc = self.npc
+    cycles = self.cycles
+    instr_count = self.instr_count
+    ecs = self.ecstall_cycles
+    cc = self._cc
 
-        budget = -1 if max_instructions is None else max_instructions
-        kill_at = self.kill_at_cycle
-        start_count = instr_count
-        flushed_insts = instr_count
-        flushed_cycles = cycles
+    budget = -1 if max_instructions is None else max_instructions
+    kill_at = self.kill_at_cycle
+    start_count = instr_count
+    flushed_insts = instr_count
+    flushed_cycles = cycles
 
-        # The trace tier (DESIGN.md §11.2) chains compiled superblocks
-        # between checkpoints and falls back to the dispatch chain below
-        # for everything else.  Runs watching an extended-taxonomy event
-        # (branch/bandwidth/latency counters) or on a multi-core machine
-        # (blocks carry no coherence hooks) stay on the dispatch chain —
-        # journals are byte-identical across engines either way.
-        prog = None
-        if (
-            self.engine == "trace"
-            and coh is None
-            and EXTENDED_EVENTS.isdisjoint(watching)
-        ):
-            from .cpu_trace import get_program
+    # The trace tier (DESIGN.md §11.2) chains compiled superblocks
+    # between checkpoints and falls back to the dispatch chain below
+    # for everything else.  Runs watching an extended-taxonomy event
+    # (branch/bandwidth/latency counters) or on a multi-core machine
+    # (blocks carry no coherence hooks) stay on the dispatch chain —
+    # journals are byte-identical across engines either way.
+    prog = None
+    if (
+        self.engine == "trace"
+        and coh is None
+        and EXTENDED_EVENTS.isdisjoint(watching)
+    ):
+        from .cpu_trace import get_program
 
-            # Penalties only have to checkpoint when something in the
-            # cycle domain (or a watcher that stamps checkpoint state into
-            # traps) can observe them; a plain unprofiled run compiles
-            # penalty-accumulating blocks that run to their control-flow
-            # exits instead.
-            prog = get_program(self, events_exit=bool(
-                watching
-                or pending
-                or self.clock_interval_cycles
-                or kill_at is not None
-                or max_cycles is not None
-            ))
-            st = prog.st
-            btab = prog.btab
-            counts = prog.counts
-            compile_row = prog.compile_row
-            hot = prog.cfg.hot_threshold
-            burst_size = prog.cfg.burst_instructions
-            s_block_calls = s_trace = s_burst = 0
-            s_split = s_entry = s_event = s_cold = 0
+        # Penalties only have to checkpoint when something in the
+        # cycle domain (or a watcher that stamps checkpoint state into
+        # traps) can observe them; a plain unprofiled run compiles
+        # penalty-accumulating blocks that run to their control-flow
+        # exits instead.
+        prog = get_program(self, events_exit=bool(
+            watching
+            or pending
+            or self.clock_interval_cycles
+            or kill_at is not None
+            or max_cycles is not None
+        ))
+        st = prog.st
+        btab = prog.btab
+        counts = prog.counts
+        compile_row = prog.compile_row
+        hot = prog.cfg.hot_threshold
+        burst_size = prog.cfg.burst_instructions
+        s_block_calls = s_trace = s_burst = 0
+        s_split = s_entry = s_event = s_cold = 0
 
-        if self.halted or budget == 0:
-            return 0
+    if self.halted or budget == 0:
+        return 0
 
-        # The loop runs in *index space*: ``i``/``ni`` are dispatch-table
-        # rows standing in for pc/npc (pc == text_base + 4*i), so the hot
-        # path never converts an address or bounds-checks a fetch — every
-        # invalid control transfer lands on a K_BAD row instead.  ``bad_pc``
-        # remembers the unrepresentable address of a computed jump that had
-        # to be redirected to the sentinel row.
-        tb = text_base
-        i = (pc - tb) >> 2
-        if pc & 3 or i < 0 or i > ncode:
-            raise IllegalInstruction(f"fetch from 0x{pc:x}")
-        ni = (npc - tb) >> 2
-        bad_pc = None
-        if npc & 3 or ni < 0 or ni > ncode:
-            bad_pc = npc
-            ni = ncode
+    # The loop runs in *index space*: ``i``/``ni`` are dispatch-table
+    # rows standing in for pc/npc (pc == text_base + 4*i), so the hot
+    # path never converts an address or bounds-checks a fetch — every
+    # invalid control transfer lands on a K_BAD row instead.  ``bad_pc``
+    # remembers the unrepresentable address of a computed jump that had
+    # to be redirected to the sentinel row.
+    tb = self.text_base
+    i = (pc - tb) >> 2
+    if pc & 3 or i < 0 or i > ncode:
+        raise IllegalInstruction(f"fetch from 0x{pc:x}")
+    ni = (npc - tb) >> 2
+    bad_pc = None
+    if npc & 3 or ni < 0 or ni > ncode:
+        bad_pc = npc
+        ni = ncode
 
-        def btfn_backward(trow, row):
-            # BTFN static prediction: taken iff the target address is at or
-            # before the branch.  Statically invalid targets live on
-            # appended K_BAD rows whose payload keeps the raw address, so
-            # compare addresses there instead of row indices.
-            te = dec[trow]
-            if te[0] == K_BAD and te[1] is not None:
-                return te[1] <= tb + (row << 2)
-            return trow <= row
+    def btfn_backward(trow, row):
+        # BTFN static prediction: taken iff the target address is at or
+        # before the branch.  Statically invalid targets live on
+        # appended K_BAD rows whose payload keeps the raw address, so
+        # compare addresses there instead of row indices.
+        te = dec[trow]
+        if te[0] == K_BAD and te[1] is not None:
+            return te[1] <= tb + (row << 2)
+        return trow <= row
 
-        def note_br(mispred, row, icount):
-            # One completed branch (and possibly one misprediction) on the
-            # branch counters; returns True when a trap was armed so the
-            # arm breaks to the checkpoint at this instruction.
-            armed = False
-            if w_br is not None:
-                s = record(w_br, 1)
-                if s >= 0:
-                    pending.append([icount + 1 + s, w_br, s, tb + (row << 2),
-                                    counters.last_coalesced, None])
-                    armed = True
-            if mispred and w_brm is not None:
-                s = record(w_brm, 1)
-                if s >= 0:
-                    pending.append([icount + 1 + s, w_brm, s, tb + (row << 2),
-                                    counters.last_coalesced, None])
-                    armed = True
-            return armed
+    def note_br(mispred, row, icount):
+        # One completed branch (and possibly one misprediction) on the
+        # branch counters; returns True when a trap was armed so the
+        # arm breaks to the checkpoint at this instruction.
+        armed = False
+        bpc = tb + (row << 2)
+        @arm("br", 1, flag="armed", due="icount + 1", pc="bpc", ea="None")
+        if mispred:
+            @arm("brm", 1, flag="armed", due="icount + 1", pc="bpc", ea="None")
+        return armed
 
-        countdown = 0
-        brk = False
-        fresh = True
-        try:
-            while True:
-                # ---- checkpoint: the only place observable bookkeeping
-                # happens; the countdown guarantees it runs at exactly the
-                # instructions where the per-instruction loop would have
-                # overflowed a counter, delivered a trap, ticked the clock
-                # or hit a deadline.
-                if not fresh:
-                    pc = tb + (i << 2)
-                    npc = (
-                        bad_pc
-                        if ni == ncode and bad_pc is not None
-                        else tb + (ni << 2)
-                    )
-                    if tlb_hits:
-                        dtlb.refs += tlb_hits
-                        tlb_hits = 0
-                    if dc_read_hits:
-                        dcache.read_refs += dc_read_hits
-                        dc_read_hits = 0
-                    if dc_write_hits:
-                        dcache.write_refs += dc_write_hits
-                        dc_write_hits = 0
-                    if w_insts is not None:
-                        n = instr_count - flushed_insts
-                        if n:
-                            skid = record(w_insts, n)
-                            if skid >= 0:
-                                pending.append(
-                                    [instr_count + skid, w_insts, skid, pc,
-                                     counters.last_coalesced, None]
-                                )
-                    if w_cycles is not None:
-                        n = cycles - flushed_cycles
-                        if n:
-                            skid = record(w_cycles, n)
-                            if skid >= 0:
-                                pending.append(
-                                    [instr_count + skid, w_cycles, skid, pc,
-                                     counters.last_coalesced, None]
-                                )
-                    flushed_insts = instr_count
-                    flushed_cycles = cycles
-                    if pending:
-                        due = None
-                        for trap in pending:
-                            if trap[0] <= instr_count:
-                                if due is None:
-                                    due = []
-                                due.append(trap)
-                        if due:
-                            handler = self.overflow_handler
-                            # sync state so snapshot sees next-to-issue PC
-                            self.pc, self.npc = pc, npc
-                            self.cycles, self.instr_count = cycles, instr_count
-                            self.ecstall_cycles = ecstall_total
-                            for trap in due:
-                                pending.remove(trap)
-                                if handler is not None:
-                                    handler(
-                                        self.snapshot(
-                                            trap[1], trap[2], trap[3], trap[4],
-                                            trap[5],
-                                            trap[6] if len(trap) > 6 else None,
-                                        )
-                                    )
-                    if self.clock_interval_cycles and cycles >= self.next_clock_tick:
-                        handler2 = self.clock_handler
+    def _stale(now):
+        # expire software prefetches that completed in the past
+        for ln in [ln for ln, r in inflight.items() if r <= now]:
+            del inflight[ln]
+
+    countdown = 0
+    brk = False
+    fresh = True
+    try:
+        while True:
+            # ---- checkpoint: the only place observable bookkeeping
+            # happens; the countdown guarantees it runs at exactly the
+            # instructions where the per-instruction loop would have
+            # overflowed a counter, delivered a trap, ticked the clock
+            # or hit a deadline.
+            if not fresh:
+                pc = tb + (i << 2)
+                npc = (
+                    bad_pc
+                    if ni == ncode and bad_pc is not None
+                    else tb + (ni << 2)
+                )
+                @flush()
+                n = instr_count - flushed_insts
+                if n:
+                    @arm("insts", "n", due="instr_count", pc="pc", ea="None")
+                n = cycles - flushed_cycles
+                if n:
+                    @arm("cycles", "n", due="instr_count", pc="pc", ea="None")
+                flushed_insts = instr_count
+                flushed_cycles = cycles
+                if pending:
+                    due = None
+                    for trap in pending:
+                        if trap[0] <= instr_count:
+                            if due is None:
+                                due = []
+                            due.append(trap)
+                    if due:
+                        handler = self.overflow_handler
+                        # sync state so snapshot sees next-to-issue PC
                         self.pc, self.npc = pc, npc
                         self.cycles, self.instr_count = cycles, instr_count
-                        self.ecstall_cycles = ecstall_total
-                        while self.next_clock_tick <= cycles:
-                            self.next_clock_tick += self.clock_interval_cycles
-                            if handler2 is not None:
-                                handler2(pc, cycles, tuple(callstack))
-                    # deadlines fire only after the retired instruction's
-                    # events are fully counted (partial experiments must
-                    # agree with machine.stats() ground truth)
-                    if kill_at is not None and cycles >= kill_at:
-                        raise SimulatedCrash(
-                            f"injected kill at cycle {cycles} (pc 0x{pc:x})"
-                        )
-                    if max_cycles is not None and cycles >= max_cycles:
-                        raise WatchdogExpired(
-                            f"cycle watchdog: {cycles} >= {max_cycles} "
-                            f"(pc 0x{pc:x})"
-                        )
-                    if (
-                        watchdog_instructions is not None
-                        and instr_count >= watchdog_instructions
-                    ):
-                        raise WatchdogExpired(
-                            f"instruction watchdog: {instr_count} >= "
-                            f"{watchdog_instructions} (pc 0x{pc:x})"
-                        )
-                    if self.halted:
-                        break
-                    if budget >= 0 and instr_count - start_count >= budget:
-                        break
-                fresh = False
-
-                # ---- how many instructions may retire before the next
-                # possible observable event, assuming every one costs
-                # exactly base_cycles (any instruction that violates the
-                # assumption zeroes the countdown when it happens)
-                nxt = _BIG
-                if w_insts is not None:
-                    nxt = remaining[w_insts]
-                if w_cycles is not None:
-                    v = -(-remaining[w_cycles] // base_cycles)
-                    if v < nxt:
-                        nxt = v
-                if pending:
-                    v = min(trap[0] for trap in pending) - instr_count
-                    if v < nxt:
-                        nxt = v
-                if self.clock_interval_cycles:
-                    v = -(-(self.next_clock_tick - cycles) // base_cycles)
-                    if v < nxt:
-                        nxt = v
-                if kill_at is not None:
-                    v = -(-(kill_at - cycles) // base_cycles)
-                    if v < nxt:
-                        nxt = v
-                if max_cycles is not None:
-                    v = -(-(max_cycles - cycles) // base_cycles)
-                    if v < nxt:
-                        nxt = v
-                if watchdog_instructions is not None:
-                    v = watchdog_instructions - instr_count
-                    if v < nxt:
-                        nxt = v
-                if budget >= 0:
-                    v = budget - (instr_count - start_count)
-                    if v < nxt:
-                        nxt = v
-                countdown = nxt if nxt > 0 else 1
-                left = countdown
-
-                while True:
-                    if prog is not None:
-                        # ---- trace tier: chain compiled blocks while
-                        # each one's worst-case length fits the `left`
-                        # instructions before the next checkpoint.  The
-                        # blocks share state through the hub `st`; the
-                        # finally reloads the locals even when a block
-                        # raised, so finalization sees exact state.
-                        st[:13] = (
-                            i, ni, cc, cycles, instr_count, ecstall_total,
-                            seg_base, seg_end, seg_shift, mru_page,
-                            tlb_hits, dc_read_hits, dc_write_hits,
-                        )
-                        st[14] = bad_pc
-                        try:
-                            while left > 0:
-                                row = st[0]
-                                ent = btab[row]
-                                if ent is None:
-                                    c = counts.get(row, 0) + 1
-                                    counts[row] = c
-                                    ent = compile_row(row) if c >= hot else False
-                                if ent is False:
-                                    s_cold += 1
-                                elif st[1] != row + 1:
-                                    # mid-block entry (e.g. resuming in a
-                                    # delay slot): blocks assume npc == pc+4
-                                    s_entry += 1
-                                elif ent[0] > left:
-                                    # the deadline lands inside the block
-                                    s_split += 1
-                                else:
-                                    retired = ent[1](left)
-                                    s_block_calls += 1
-                                    s_trace += retired
-                                    left -= retired
-                                    if st[13]:
-                                        # event inside the block: checkpoint
-                                        st[13] = 0
-                                        s_event += 1
-                                        left = 0
-                                    continue
-                                break
-                        finally:
-                            (
-                                i, ni, cc, cycles, instr_count, ecstall_total,
-                                seg_base, seg_end, seg_shift, mru_page,
-                                tlb_hits, dc_read_hits, dc_write_hits,
-                            ) = st[:13]
-                            bad_pc = st[14]
-                        if left <= 0:
-                            break
-                        # deopt: a bounded burst of the dispatch chain
-                        countdown = left if left < burst_size else burst_size
-                        left -= countdown
-                        burst_start = instr_count
-
-                    # ---- hot loop: dispatch chain ordered by the dynamic
-                    # opcode mix of the MCF workload.  Every arm retires
-                    # inline (``i = ni; ni += 1`` or the branch target), so
-                    # straight-line instructions never materialise a "next
-                    # pc" temporary; any arm that broke the base-cycles
-                    # assumption sets ``brk`` (or breaks directly) so the
-                    # checkpoint runs at this very instruction.
-                    for _ in range(countdown):
-                        e = dec[i]
-                        k = e[0]
-                        if k < 4:  # LDX / LDUB
-                            o = e[3]
-                            ea = regs[e[2]] + (regs[o] if k & 1 else o)
-                            lcyc = cycles
-                            # DTLB
-                            if seg_base <= ea < seg_end and (ea >> seg_shift) == mru_page:
-                                tlb_hits += 1
-                            else:
-                                if not dtlb.lookup(ea, memory):
-                                    cycles += dtlb_miss_cycles
-                                    brk = True
-                                    if w_dtlbm is not None:
-                                        skid = record(w_dtlbm, 1)
-                                        if skid >= 0:
-                                            pending.append(
-                                                [instr_count + 1 + skid, w_dtlbm,
-                                                 skid, tb + (i << 2),
-                                                 counters.last_coalesced, ea]
-                                            )
-                                seg = dtlb._seg_cache
-                                seg_base = seg.base
-                                seg_end = seg_base + seg.size
-                                seg_shift = seg.page_shift
-                                mru_page = ea >> seg_shift
-                            # D$
-                            full_miss = False
-                            line = ea >> dc_shift
-                            dcset = dc_sets[line & dc_mask]
-                            if dcset and dcset[0] == line:
-                                dc_read_hits += 1
-                            elif not dcache.access(ea, False):
-                                brk = True
-                                if coh is not None:
-                                    # a line another core owns must be pulled
-                                    # shared (downgrade + forward penalty)
-                                    pen = coh.load_miss(core_id, ea)
-                                    if pen:
-                                        cycles += pen
-                                        if w_cohm is not None:
-                                            skid = record(w_cohm, 1)
-                                            if skid >= 0:
-                                                pending.append(
-                                                    [instr_count + 1 + skid,
-                                                     w_cohm, skid, tb + (i << 2),
-                                                     counters.last_coalesced, ea]
-                                                )
-                                if w_dcrm is not None:
-                                    skid = record(w_dcrm, 1)
-                                    if skid >= 0:
-                                        pending.append(
-                                            [instr_count + 1 + skid, w_dcrm, skid,
-                                             tb + (i << 2),
-                                             counters.last_coalesced, ea]
-                                        )
-                                cycles += ec_hit_cycles
-                                if w_ecref is not None:
-                                    skid = record(w_ecref, 1)
-                                    if skid >= 0:
-                                        pending.append(
-                                            [instr_count + 1 + skid, w_ecref, skid,
-                                             tb + (i << 2),
-                                             counters.last_coalesced, ea]
-                                        )
-                                if not ecache.access(ea, False):
-                                    full_miss = True
-                                    cycles += ec_miss_cycles
-                                    ecstall_total += ec_miss_cycles
-                                    if w_ecrm is not None:
-                                        skid = record(w_ecrm, 1)
-                                        if skid >= 0:
-                                            pending.append(
-                                                [instr_count + 1 + skid, w_ecrm,
-                                                 skid, tb + (i << 2),
-                                                 counters.last_coalesced, ea]
-                                            )
-                                    if w_ecstall is not None:
-                                        skid = record(w_ecstall, ec_miss_cycles)
-                                        if skid >= 0:
-                                            pending.append(
-                                                [instr_count + 1 + skid, w_ecstall,
-                                                 skid, tb + (i << 2),
-                                                 counters.last_coalesced, ea]
-                                            )
-                            if inflight:
-                                # a software prefetch may still be fetching this
-                                # line: the demand load waits for the remainder
-                                ready = inflight.pop(ea >> ec_line_shift, None)
-                                if ready is not None and not full_miss and ready > lcyc:
-                                    wait = ready - lcyc
-                                    cycles += wait
-                                    ecstall_total += wait
-                                    brk = True
-                                if inflight:
-                                    # expire fetches that completed in the past
-                                    stale = [
-                                        ln for ln, r in inflight.items() if r <= cycles
-                                    ]
-                                    for ln in stale:
-                                        del inflight[ln]
-                            # data
-                            if k < 2:  # LDX
-                                if ea & 7:
-                                    raise MemoryFault(ea, "misaligned 8-byte load")
-                                widx = (ea - mem_base) >> 3
-                                if widx < 0 or widx >= nwords:
-                                    raise MemoryFault(ea)
-                                value = words[widx]
-                            else:  # LDUB
-                                widx = (ea - mem_base) >> 3
-                                if widx < 0 or widx >= nwords:
-                                    raise MemoryFault(ea)
-                                value = (words[widx] >> ((ea & 7) << 3)) & 0xFF
-                            rd = e[1]
-                            if rd:
-                                regs[rd] = value
-                            if w_ldbytes is not None:
-                                skid = record(w_ldbytes, 8 if k < 2 else 1)
-                                if skid >= 0:
-                                    pending.append(
-                                        [instr_count + 1 + skid, w_ldbytes, skid,
-                                         tb + (i << 2),
-                                         counters.last_coalesced, ea]
+                        self.ecstall_cycles = ecs
+                        for trap in due:
+                            pending.remove(trap)
+                            if handler is not None:
+                                handler(
+                                    self.snapshot(
+                                        trap[1], trap[2], trap[3], trap[4],
+                                        trap[5],
+                                        trap[6] if len(trap) > 6 else None,
                                     )
-                                    brk = True
-                            if w_ldlat is not None:
-                                skid = record(w_ldlat, 1)
-                                if skid >= 0:
-                                    # sampled SPE-style latency: every cycle the
-                                    # load consumed (miss penalties, prefetch
-                                    # waits) plus its base issue cost
-                                    pending.append(
-                                        [instr_count + 1 + skid, w_ldlat, skid,
-                                         tb + (i << 2), counters.last_coalesced,
-                                         ea, cycles - lcyc + base_cycles]
-                                    )
-                                    brk = True
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                            if brk:
-                                brk = False
-                                break
-                        elif k == K_SET:
-                            regs[e[1]] = e[2]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_ADD_R:
-                            value = regs[e[2]] + regs[e[3]]
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_ADD_I:
-                            value = regs[e[2]] + e[3]
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_NOP:
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_CMP_R:
-                            cc = regs[e[1]] - regs[e[2]]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_CMP_I:
-                            cc = regs[e[1]] - e[2]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k < 8:  # STX / STB
-                            o = e[3]
-                            ea = regs[e[2]] + (regs[o] if k & 1 else o)
-                            if seg_base <= ea < seg_end and (ea >> seg_shift) == mru_page:
-                                tlb_hits += 1
-                            else:
-                                if not dtlb.lookup(ea, memory):
-                                    cycles += dtlb_miss_cycles
-                                    brk = True
-                                    if w_dtlbm is not None:
-                                        skid = record(w_dtlbm, 1)
-                                        if skid >= 0:
-                                            pending.append(
-                                                [instr_count + 1 + skid, w_dtlbm,
-                                                 skid, tb + (i << 2),
-                                                 counters.last_coalesced, ea]
-                                            )
-                                seg = dtlb._seg_cache
-                                seg_base = seg.base
-                                seg_end = seg_base + seg.size
-                                seg_shift = seg.page_shift
-                                mru_page = ea >> seg_shift
-                            if coh is not None and coh_owner.get(ea >> coh_shift) != core_id:
-                                # acquire ownership of the E$ line; any other
-                                # holder pays the invalidation penalty here
-                                pen = coh.store(core_id, ea)
-                                if pen:
-                                    cycles += pen
-                                    brk = True
-                                    if w_cohm is not None:
-                                        skid = record(w_cohm, 1)
-                                        if skid >= 0:
-                                            pending.append(
-                                                [instr_count + 1 + skid, w_cohm,
-                                                 skid, tb + (i << 2),
-                                                 counters.last_coalesced, ea]
-                                            )
-                            line = ea >> dc_shift
-                            dcset = dc_sets[line & dc_mask]
-                            if dcset and dcset[0] == line:
-                                dc_write_hits += 1
-                            elif not dcache.access(ea, True):
-                                # write-allocate through E$; the write buffer
-                                # hides most of the latency (configurable
-                                # residual stall)
-                                brk = True
-                                if store_stall_cycles:
-                                    cycles += store_stall_cycles
-                                if w_ecref is not None:
-                                    skid = record(w_ecref, 1)
-                                    if skid >= 0:
-                                        pending.append(
-                                            [instr_count + 1 + skid, w_ecref, skid,
-                                             tb + (i << 2),
-                                             counters.last_coalesced, ea]
-                                        )
-                                ecache.access(ea, True)
-                            if inflight:
-                                # the store supersedes any in-flight prefetch of
-                                # its line; completed fetches are dropped too
-                                inflight.pop(ea >> ec_line_shift, None)
-                                if inflight:
-                                    stale = [
-                                        ln for ln, r in inflight.items() if r <= cycles
-                                    ]
-                                    for ln in stale:
-                                        del inflight[ln]
-                            if k < 6:  # STX
-                                if ea & 7:
-                                    raise MemoryFault(ea, "misaligned 8-byte store")
-                                widx = (ea - mem_base) >> 3
-                                if widx < 0 or widx >= nwords:
-                                    raise MemoryFault(ea)
-                                words[widx] = regs[e[1]]
-                            else:  # STB
-                                widx = (ea - mem_base) >> 3
-                                if widx < 0 or widx >= nwords:
-                                    raise MemoryFault(ea)
-                                shift = (ea & 7) << 3
-                                word = words[widx] & _U64M
-                                word = (word & ~(0xFF << shift)) | (
-                                    (regs[e[1]] & 0xFF) << shift
                                 )
-                                if word > _S64_MAX:
-                                    word -= _U64
-                                words[widx] = word
-                            if w_stbytes is not None:
-                                skid = record(w_stbytes, 8 if k < 6 else 1)
-                                if skid >= 0:
-                                    pending.append(
-                                        [instr_count + 1 + skid, w_stbytes, skid,
-                                         tb + (i << 2),
-                                         counters.last_coalesced, ea]
-                                    )
-                                    brk = True
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                            if brk:
-                                brk = False
-                                break
-                        elif k == K_MOV:
-                            regs[e[1]] = regs[e[2]]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_BGE:
-                            if track_br and note_br(
-                                (cc >= 0) != btfn_backward(e[1], i), i, instr_count
-                            ):
-                                brk = True
-                            if cc >= 0:
-                                i = ni
-                                ni = e[1]
-                            else:
-                                i = ni
-                                ni += 1
-                            instr_count += 1
-                            cycles += base_cycles
-                            if brk:
-                                brk = False
-                                break
-                        elif k == K_BA:
-                            if track_br and note_br(False, i, instr_count):
-                                brk = True
-                            i = ni
-                            ni = e[1]
-                            instr_count += 1
-                            cycles += base_cycles
-                            if brk:
-                                brk = False
-                                break
-                        elif k == K_MULX_R:
-                            value = regs[e[2]] * regs[e[3]]
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_BL:
-                            if track_br and note_br(
-                                (cc < 0) != btfn_backward(e[1], i), i, instr_count
-                            ):
-                                brk = True
-                            if cc < 0:
-                                i = ni
-                                ni = e[1]
-                            else:
-                                i = ni
-                                ni += 1
-                            instr_count += 1
-                            cycles += base_cycles
-                            if brk:
-                                brk = False
-                                break
-                        elif k == K_BNE:
-                            if track_br and note_br(
-                                (cc != 0) != btfn_backward(e[1], i), i, instr_count
-                            ):
-                                brk = True
-                            if cc != 0:
-                                i = ni
-                                ni = e[1]
-                            else:
-                                i = ni
-                                ni += 1
-                            instr_count += 1
-                            cycles += base_cycles
-                            if brk:
-                                brk = False
-                                break
-                        elif k == K_SLLX_I:
-                            value = regs[e[2]] << e[3]
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_SUB_R:
-                            value = regs[e[2]] - regs[e[3]]
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_SUB_I:
-                            value = regs[e[2]] - e[3]
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_BE:
-                            if track_br and note_br(
-                                (cc == 0) != btfn_backward(e[1], i), i, instr_count
-                            ):
-                                brk = True
-                            if cc == 0:
-                                i = ni
-                                ni = e[1]
-                            else:
-                                i = ni
-                                ni += 1
-                            instr_count += 1
-                            cycles += base_cycles
-                            if brk:
-                                brk = False
-                                break
-                        elif k == K_BG:
-                            if track_br and note_br(
-                                (cc > 0) != btfn_backward(e[1], i), i, instr_count
-                            ):
-                                brk = True
-                            if cc > 0:
-                                i = ni
-                                ni = e[1]
-                            else:
-                                i = ni
-                                ni += 1
-                            instr_count += 1
-                            cycles += base_cycles
-                            if brk:
-                                brk = False
-                                break
-                        elif k == K_BLE:
-                            if track_br and note_br(
-                                (cc <= 0) != btfn_backward(e[1], i), i, instr_count
-                            ):
-                                brk = True
-                            if cc <= 0:
-                                i = ni
-                                ni = e[1]
-                            else:
-                                i = ni
-                                ni += 1
-                            instr_count += 1
-                            cycles += base_cycles
-                            if brk:
-                                brk = False
-                                break
-                        elif k == K_MULX_I:
-                            value = regs[e[2]] * e[3]
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_CALL:
-                            if track_br and note_br(False, i, instr_count):
-                                brk = True
-                            xpc = tb + (i << 2)
-                            regs[REG_RA] = xpc
-                            callstack.append(xpc)
-                            i = ni
-                            ni = e[1]
-                            instr_count += 1
-                            cycles += base_cycles
-                            if brk:
-                                brk = False
-                                break
-                        elif k == K_JMPL:
-                            # indirect target: the BTFN static predictor always
-                            # mispredicts it
-                            if track_br and note_br(True, i, instr_count):
-                                brk = True
-                            rd = e[1]
-                            if rd:
-                                regs[rd] = tb + (i << 2)
-                            t = regs[e[2]] + e[3]
-                            if e[4] and callstack:
-                                callstack.pop()
-                            ti = (t - tb) >> 2
-                            if t & 3 or ti < 0 or ti > ncode:
-                                # unrepresentable computed target: route through
-                                # the sentinel row, which raises with this pc
-                                bad_pc = t
-                                ti = ncode
-                            i = ni
-                            ni = ti
-                            instr_count += 1
-                            cycles += base_cycles
-                            if brk:
-                                brk = False
-                                break
-                        elif k < 10:  # PREFETCH
-                            o = e[3]
-                            ea = regs[e[2]] + (regs[o] if k & 1 else o)
-                            # dropped on a DTLB miss or an unmapped address;
-                            # raises no counter events (demand accesses only)
-                            try:
-                                translated = dtlb.peek(ea, memory)
-                            except MemoryFault:
-                                translated = False
-                            if translated and not dcache.access(ea, False):
-                                if not ecache.access(ea, False):
-                                    inflight[ea >> ec_line_shift] = (
-                                        cycles + ec_miss_cycles
-                                    )
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_AND_R:
-                            regs[e[1]] = regs[e[2]] & regs[e[3]]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_AND_I:
-                            regs[e[1]] = regs[e[2]] & e[3]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_OR_R:
-                            regs[e[1]] = regs[e[2]] | regs[e[3]]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_OR_I:
-                            regs[e[1]] = regs[e[2]] | e[3]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_XOR_R:
-                            regs[e[1]] = regs[e[2]] ^ regs[e[3]]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_XOR_I:
-                            regs[e[1]] = regs[e[2]] ^ e[3]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_SLLX_R:
-                            value = regs[e[2]] << (regs[e[3]] & 63)
-                            if value > _S64_MAX or value < _S64_MIN:
-                                value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_SRLX_I:
-                            value = (regs[e[2]] & _U64M) >> e[3]
-                            if value > _S64_MAX:
-                                value -= _U64
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_SRLX_R:
-                            value = (regs[e[2]] & _U64M) >> (regs[e[3]] & 63)
-                            if value > _S64_MAX:
-                                value -= _U64
-                            regs[e[1]] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_SRAX_I:
-                            regs[e[1]] = regs[e[2]] >> e[3]
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_SRAX_R:
-                            regs[e[1]] = regs[e[2]] >> (regs[e[3]] & 63)
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k < 38:  # SDIVX / SMODX
-                            o = e[3]
-                            b = regs[o] if k & 1 else o
-                            a = regs[e[2]]
-                            if b == 0:
-                                raise DivisionByZero(f"at pc 0x{tb + (i << 2):x}")
-                            q = abs(a) // abs(b)
-                            if (a < 0) != (b < 0):
-                                q = -q
-                            value = q if k < 36 else a - q * b
-                            rd = e[1]
-                            if rd:
-                                regs[rd] = value
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                        elif k == K_TA:
-                            service = self.kernel_service
-                            if service is None:
-                                raise MachineError(f"trap {e[1]} with no kernel")
-                            # sync state (and flush the batched MRU tallies) so
-                            # the kernel sees a consistent CPU and machine
-                            self.pc = tb + (i << 2)
-                            self.npc = (
-                                bad_pc
-                                if ni == ncode and bad_pc is not None
-                                else tb + (ni << 2)
-                            )
-                            self.cycles, self.instr_count = cycles, instr_count
-                            self.ecstall_cycles = ecstall_total
-                            if tlb_hits:
-                                dtlb.refs += tlb_hits
-                                tlb_hits = 0
-                            if dc_read_hits:
-                                dcache.read_refs += dc_read_hits
-                                dc_read_hits = 0
-                            if dc_write_hits:
-                                dcache.write_refs += dc_write_hits
-                                dc_write_hits = 0
-                            service(self, e[1])
-                            cycles += TRAP_CYCLES
-                            self.system_cycles += TRAP_CYCLES
-                            # the service may have remapped memory
-                            seg_base, seg_end, mru_page = 1, 0, -1
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                            break
-                        elif k == K_HALT:
-                            self.halted = True
-                            self.exit_code = regs[8]  # %o0
-                            instr_count += 1
-                            cycles += base_cycles
-                            i = ni
-                            ni += 1
-                            break
-                        elif k == K_BAD:
-                            # fetch fault: fell off the end of text, or a
-                            # control transfer targeted a bad address
-                            p = e[1]
-                            if p is None:
-                                p = bad_pc if bad_pc is not None else tb + (i << 2)
-                            bad_pc = p
-                            raise IllegalInstruction(f"fetch from 0x{p:x}")
-                        else:  # pragma: no cover - predecode rejects unknown ops
-                            raise IllegalInstruction(
-                                f"unknown kind {k} at 0x{tb + (i << 2):x}"
-                            )
-                    else:
-                        if prog is not None and left > 0:
-                            # burst retired without an event: back to
-                            # the compiled blocks
-                            s_burst += instr_count - burst_start
-                            continue
-                    if prog is not None:
-                        s_burst += instr_count - burst_start
+                if self.clock_interval_cycles and cycles >= self.next_clock_tick:
+                    handler2 = self.clock_handler
+                    self.pc, self.npc = pc, npc
+                    self.cycles, self.instr_count = cycles, instr_count
+                    self.ecstall_cycles = ecs
+                    while self.next_clock_tick <= cycles:
+                        self.next_clock_tick += self.clock_interval_cycles
+                        if handler2 is not None:
+                            handler2(pc, cycles, tuple(callstack))
+                # deadlines fire only after the retired instruction's
+                # events are fully counted (partial experiments must
+                # agree with machine.stats() ground truth)
+                if kill_at is not None and cycles >= kill_at:
+                    raise SimulatedCrash(
+                        f"injected kill at cycle {cycles} (pc 0x{pc:x})"
+                    )
+                if max_cycles is not None and cycles >= max_cycles:
+                    raise WatchdogExpired(
+                        f"cycle watchdog: {cycles} >= {max_cycles} "
+                        f"(pc 0x{pc:x})"
+                    )
+                if (
+                    watchdog_instructions is not None
+                    and instr_count >= watchdog_instructions
+                ):
+                    raise WatchdogExpired(
+                        f"instruction watchdog: {instr_count} >= "
+                        f"{watchdog_instructions} (pc 0x{pc:x})"
+                    )
+                if self.halted:
                     break
+                if budget >= 0 and instr_count - start_count >= budget:
+                    break
+            fresh = False
 
-        finally:
-            # Sync locals back even when a fault/deadline raised mid-loop,
-            # so partial-experiment finalization sees accurate state.  Any
-            # instruction with extra cycles or an armed trap forced a
-            # checkpoint, so everything retired-but-unflushed cost exactly
-            # base_cycles — flush it so counter totals track ground truth
-            # through the last retired instruction.
-            n = instr_count - flushed_insts
-            if n:
-                if w_insts is not None:
-                    record(w_insts, n)
-                if w_cycles is not None:
-                    record(w_cycles, n * base_cycles)
-            if tlb_hits:
-                dtlb.refs += tlb_hits
-            if dc_read_hits:
-                dcache.read_refs += dc_read_hits
-            if dc_write_hits:
-                dcache.write_refs += dc_write_hits
-            if i >= ncode and bad_pc is not None:
-                self.pc = bad_pc
-            else:
-                self.pc = tb + (i << 2)
-            if ni == ncode and bad_pc is not None and i < ncode:
-                self.npc = bad_pc
-            else:
-                self.npc = tb + (ni << 2)
-            self.cycles = cycles
-            self.instr_count = instr_count
-            self.ecstall_cycles = ecstall_total
-            self._cc = cc
-            if prog is not None:
-                stats = prog.stats
-                stats["block_calls"] += s_block_calls
-                stats["trace_retired"] += s_trace
-                stats["burst_retired"] += s_burst
-                stats["deopt_split"] += s_split
-                stats["deopt_entry"] += s_entry
-                stats["deopt_event"] += s_event
-                stats["deopt_cold"] += s_cold
-        return instr_count - start_count
+            # ---- how many instructions may retire before the next
+            # possible observable event, assuming every one costs
+            # exactly base_cycles (any instruction that violates the
+            # assumption zeroes the countdown when it happens)
+            nxt = _BIG
+            if w_insts is not None:
+                nxt = remaining[w_insts]
+            if w_cycles is not None:
+                v = -(-remaining[w_cycles] // base_cycles)
+                if v < nxt:
+                    nxt = v
+            if pending:
+                v = min(trap[0] for trap in pending) - instr_count
+                if v < nxt:
+                    nxt = v
+            if self.clock_interval_cycles:
+                v = -(-(self.next_clock_tick - cycles) // base_cycles)
+                if v < nxt:
+                    nxt = v
+            if kill_at is not None:
+                v = -(-(kill_at - cycles) // base_cycles)
+                if v < nxt:
+                    nxt = v
+            if max_cycles is not None:
+                v = -(-(max_cycles - cycles) // base_cycles)
+                if v < nxt:
+                    nxt = v
+            if watchdog_instructions is not None:
+                v = watchdog_instructions - instr_count
+                if v < nxt:
+                    nxt = v
+            if budget >= 0:
+                v = budget - (instr_count - start_count)
+                if v < nxt:
+                    nxt = v
+            countdown = nxt if nxt > 0 else 1
+            left = countdown
 
+            while True:
+                if prog is not None:
+                    # ---- trace tier: chain compiled blocks while
+                    # each one's worst-case length fits the `left`
+                    # instructions before the next checkpoint.  The
+                    # blocks share state through the hub `st`; the
+                    # finally reloads the locals even when a block
+                    # raised, so finalization sees exact state.
+                    @hub_store()
+                    try:
+                        while left > 0:
+                            row = st[0]
+                            ent = btab[row]
+                            if ent is None:
+                                c = counts.get(row, 0) + 1
+                                counts[row] = c
+                                ent = compile_row(row) if c >= hot else False
+                            if ent is False:
+                                s_cold += 1
+                            elif st[1] != row + 1:
+                                # mid-block entry (e.g. resuming in a
+                                # delay slot): blocks assume npc == pc+4
+                                s_entry += 1
+                            elif ent[0] > left:
+                                # the deadline lands inside the block
+                                s_split += 1
+                            else:
+                                retired = ent[1](left)
+                                s_block_calls += 1
+                                s_trace += retired
+                                left -= retired
+                                if st[$BROKE]:
+                                    # event inside the block: checkpoint
+                                    st[$BROKE] = 0
+                                    s_event += 1
+                                    left = 0
+                                continue
+                            break
+                    finally:
+                        @hub_load()
+                    if left <= 0:
+                        break
+                    # deopt: a bounded burst of the dispatch chain
+                    countdown = left if left < burst_size else burst_size
+                    left -= countdown
+                    burst_start = instr_count
+
+                # ---- hot loop: the dispatch chain, rendered from the
+                # semantics table in CHAIN_ORDER.  Every arm retires
+                # inline (``i = ni; ni += 1`` or the branch target), so
+                # straight-line instructions never materialise a "next
+                # pc" temporary; any arm that broke the base-cycles
+                # assumption sets ``brk`` (or breaks directly) so the
+                # checkpoint runs at this very instruction.
+                for _ in range(countdown):
+                    e = dec[i]
+                    k = e[0]
+                    @chain()
+                else:
+                    if prog is not None and left > 0:
+                        # burst retired without an event: back to
+                        # the compiled blocks
+                        s_burst += instr_count - burst_start
+                        continue
+                if prog is not None:
+                    s_burst += instr_count - burst_start
+                break
+
+    finally:
+        # Sync locals back even when a fault/deadline raised mid-loop,
+        # so partial-experiment finalization sees accurate state.  Any
+        # instruction with extra cycles or an armed trap forced a
+        # checkpoint, so everything retired-but-unflushed cost exactly
+        # base_cycles — flush it so counter totals track ground truth
+        # through the last retired instruction.
+        n = instr_count - flushed_insts
+        if n:
+            if w_insts is not None:
+                record(w_insts, n)
+            if w_cycles is not None:
+                record(w_cycles, n * base_cycles)
+        @flush()
+        if i >= ncode and bad_pc is not None:
+            self.pc = bad_pc
+        else:
+            self.pc = tb + (i << 2)
+        if ni == ncode and bad_pc is not None and i < ncode:
+            self.npc = bad_pc
+        else:
+            self.npc = tb + (ni << 2)
+        self.cycles = cycles
+        self.instr_count = instr_count
+        self.ecstall_cycles = ecs
+        self._cc = cc
+        if prog is not None:
+            stats = prog.stats
+            stats["block_calls"] += s_block_calls
+            stats["trace_retired"] += s_trace
+            stats["burst_retired"] += s_burst
+            stats["deopt_split"] += s_split
+            stats["deopt_entry"] += s_entry
+            stats["deopt_event"] += s_event
+            stats["deopt_cold"] += s_cold
+    return instr_count - start_count
+'''
+
+
+class _Chain:
+    """``CPU.run``'s hooks into the semantics table: MRU inline probes
+    tallied in locals, penalties charged straight to ``cycles`` with
+    ``brk`` asking for a checkpoint, faults raised in place."""
+
+    flags = (("CHAIN", True), ("PF", True))
+    env = {
+        "e1": "e[1]", "e2": "e[2]", "e3": "e[3]", "e4": "e[4]",
+        "pc": "tb + (i << 2)", "CYC": "cycles", "LCYC": "lcyc",
+        "NOW": "cycles", "DTLB_MISS": "dtlb_miss_cycles",
+        "EC_HIT": "ec_hit_cycles", "EC_MISS": "ec_miss_cycles",
+        "STORE_STALL": "store_stall_cycles", "DC_SHIFT": "dc_shift",
+        "DC_MASK": "dc_mask", "EC_LINE_SHIFT": "ec_line_shift",
+        "MEM_BASE": "mem_base", "NWORDS": "nwords", "TB": "tb",
+        "NCODE": "ncode", "BAD_PC": "bad_pc", "BROKE": str(HUB_BROKE),
+    }
+    RETIRE = ["instr_count += 1", "cycles += base_cycles", "i = ni",
+              "ni += 1"]
+    BREAK = ["if brk:", "    brk = False", "    break"]
+    hub_store = staticmethod(hub_store)
+    hub_load = staticmethod(hub_load)
+
+    def enter(self, load):
+        return ["lcyc = cycles"] if load else []
+
+    def tlb(self):
+        return ["if seg_base <= ea < seg_end and "
+                "(ea >> seg_shift) == mru_page:",
+                "    tlb_hits += 1",
+                "else:"]
+
+    def dprobe(self, tally, write):
+        return ["if dcset and dcset[0] == line:",
+                f"    {tally} += 1",
+                f"elif not dcache_access(ea, {write}):"]
+
+    def brk(self):
+        return ["brk = True"]
+
+    def fault(self, exc):
+        return [f"raise {exc}"]
+
+    def retire(self):
+        return self.RETIRE
+
+    def arm(self, event, amount, flag=None, extra="",
+            due="instr_count + 1", pc="$pc", ea="ea"):
+        """The trap-arming snippet: count ``amount`` watched events and,
+        on an overflow, append the pending trap (format: module
+        docstring); ``flag`` is set when a trap was armed."""
+        w = "w_" + event
+        tail = f", {extra}" if extra else ""
+        return [f"if {w} is not None:",
+                f"    skid = record({w}, {amount})",
+                "    if skid >= 0:",
+                f"        pending.append([{due} + skid, {w}, skid, {pc},",
+                f"            counters.last_coalesced, {ea}{tail}])",
+                ] + ([f"        {flag} = True"] if flag else [])
+
+    def flush(self):
+        # the batched MRU hit tallies -> the units' reference counters
+        out = []
+        for tally, unit in (("tlb_hits", "dtlb.refs"),
+                            ("dc_r", "dcache.read_refs"),
+                            ("dc_w", "dcache.write_refs")):
+            out += [f"if {tally}:", f"    {unit} += {tally}",
+                    f"    {tally} = 0"]
+        return out
+
+    def chain(self):
+        out, seen = [], set()
+        for n, kinds in enumerate(CHAIN_ORDER):
+            entry = TABLE[kinds[0]]
+            lo, hi = kinds[0], kinds[-1]
+            # a range test must not catch an unused kind below it, which
+            # has to reach the final ``else`` and fail closed
+            if len(kinds) == 1:
+                test = f"k == {lo}"
+            elif seen.issuperset(range(lo)):
+                test = f"k < {hi + 1}"
+            else:
+                test = f"{lo} <= k <= {hi}"
+            seen.update(kinds)
+            env = operand_env(entry, kinds, dict(self.env))
+            body = render(entry.body, self, kinds, env)
+            if entry.shape == "jump":
+                mis = subst(entry.mispredict, env)
+                target = subst(entry.target, env)
+                body[:0] = [f"if track_br and note_br({mis}, i, instr_count):",
+                            "    brk = True"]
+                if entry.cond:
+                    body += [f"if {entry.cond}:", "    i = ni",
+                             f"    ni = {target}", "else:", "    i = ni",
+                             "    ni += 1"]
+                else:
+                    body += ["i = ni", f"ni = {target}"]
+                body += self.RETIRE[:2] + self.BREAK
+            elif entry.shape != "stop":
+                body += self.RETIRE
+                if entry.shape == "mem":
+                    body += self.BREAK
+            out.append(f"{'elif' if n else 'if'} {test}:  # {entry.name}")
+            out += ["    " + line for line in body]
+        return out + ["else:", "    raise IllegalInstruction(",
+                      '        f"unknown kind {k} at 0x{tb + (i << 2):x}")']
+
+
+def _compile_run():
+    """Render ``_RUN`` and compile it; the source is registered with
+    ``linecache`` so tracebacks and ``inspect.getsource`` show it."""
+    src = "\n".join(render(parse(_RUN), _Chain(), (), _Chain.env)) + "\n"
+    filename = f"<rendered {__name__}.CPU.run>"
+    linecache.cache[filename] = (len(src), None, src.splitlines(True),
+                                 filename)
+    namespace: dict = {}
+    exec(compile(src, filename, "exec"), globals(), namespace)
+    run = namespace["run"]
+    run.__qualname__ = "CPU.run"
+    return run
+
+
+CPU.run = _compile_run()
 
 __all__ = ["CPU", "CpuExit", "TRAP_CYCLES"]

@@ -134,7 +134,7 @@ def run_reference(
     BA, BE, BNE, BG, BGE, BL, BLE = O.BA, O.BE, O.BNE, O.BG, O.BGE, O.BL, O.BLE
     CALL, JMPL, NOP, TA, HALT = O.CALL, O.JMPL, O.NOP, O.TA, O.HALT
 
-    cc = getattr(cpu, "_cc", 0)
+    cc = cpu._cc
     executed = 0
     budget = max_instructions if max_instructions is not None else -1
 

@@ -4,10 +4,12 @@ The trace tier is not a separate interpreter: ``CPU.run`` owns the
 checkpoint, the batched overflow countdown and the dispatch chain for
 every non-reference engine (see DESIGN.md §11).  This module supplies
 what it chains between checkpoints: straight-line runs of predecoded
-table rows (*superblocks*) compiled, via ``exec``, into single Python
-functions that retire the whole run with no per-instruction dispatch at
-all.  It holds the block compiler, :class:`TraceProgram` (the per-row
-block table and its statistics) and :func:`get_program` (the cache).
+table rows (*superblocks*) rendered from the semantics table
+(:mod:`repro.machine.semantics`) and compiled, via ``exec``, into single
+Python functions that retire the whole run with no per-instruction
+dispatch at all.  It holds the block compiler (the table's trace-tier
+hooks), :class:`TraceProgram` (the per-row block table and its
+statistics) and :func:`get_program` (the cache).
 
 Invariants that keep trace-engine journals byte-identical to the
 reference interpreter:
@@ -23,16 +25,18 @@ reference interpreter:
   engine.
 * **Blocks perform observable side effects in program order.** Register
   and memory writes, ``counters.record`` calls for per-access events
-  (dcrm/dtlbm/ecref/ecrm/ecstall) and pending-trap appends are emitted
-  into the generated code in exactly the order the dispatch chain
-  performs them, with PCs, immediates and penalties constant-folded.
+  (dcrm/dtlbm/ecref/ecrm/ecstall) and pending-trap appends come from the
+  same table entry the dispatch chain is rendered from, so they happen
+  in exactly its order, with PCs, immediates and penalties
+  constant-folded.
 * **Pure bookkeeping is deferred.** Instruction/cycle totals and the MRU
   D$/DTLB tallies accumulate as static per-block deltas applied at block
   exit; ``CounterUnit.record`` only draws RNG on interval crossings, and
   crossings can only happen at checkpoints, so deferring the totals to
   the block boundary is unobservable.
 * **Nothing that can transfer control mid-run is compiled.** ``TA``,
-  ``HALT`` and ``K_BAD`` rows terminate block discovery; faults raised
+  ``HALT`` and ``K_BAD`` rows, and any kind without a table entry,
+  terminate block discovery; faults raised
   inside a block first write the architectural state (including partial
   cycle penalties) back to the state hub, which ``CPU.run`` reloads into
   its locals before its own finalization runs.
@@ -58,13 +62,13 @@ Blocks are compiled in one of two modes, chosen per ``run()`` call:
   self-loop costs one call per checkpoint window instead of one per
   iteration.  Loop bodies break straight-line emission-order reasoning
   (iteration 2 reaches the earliest exit *after* the whole body ran),
-  so the recompile is seeded with the first pass's full mutation set
-  and every exit passes the live locals.
+  so every exit of every block passes the locals the whole block
+  materialises.
 
 Compiled blocks communicate with ``CPU.run`` through a single shared
-list (the *state hub* ``st``); its slots are the ``_ST_*`` constants
-below.  ``CPU.run`` copies its locals into the hub before chaining
-blocks and reloads them afterwards.  Blocks are invalidated whenever the
+list (the *state hub* ``st``) whose layout ``semantics.HUB`` owns.
+``CPU.run`` copies its locals into the hub before chaining blocks and
+reloads them afterwards.  Blocks are invalidated whenever the
 dispatch table is rebuilt (reassigned code), the counter-watching set
 changes, the events-exit mode flips, or any bound machine object is
 replaced — see ``_bind_key``.
@@ -72,35 +76,20 @@ replaced — see ``_bind_key``.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from ..errors import DivisionByZero, MemoryFault
 from ..isa import decode as D
-from ..isa.decode import SIMPLE_KIND_MAX
-from ..isa.registers import REG_RA
-
-_U64 = 1 << 64
-_U64M = _U64 - 1
-_S64_MAX = (1 << 63) - 1
-_S64_MIN = -(1 << 63)
-
-# State-hub slots: the one list every compiled block and ``CPU.run``
-# share.  0/1 are the dispatch-table row stand-ins for pc/npc.
-_ST_I = 0
-_ST_NI = 1
-_ST_CC = 2
-_ST_CYCLES = 3
-_ST_ICOUNT = 4
-_ST_ECSTALL = 5
-_ST_SEG_BASE = 6
-_ST_SEG_END = 7
-_ST_SEG_SHIFT = 8
-_ST_MRU_PAGE = 9
-_ST_TLB_HITS = 10
-_ST_DC_R = 11
-_ST_DC_W = 12
-_ST_BROKE = 13
-_ST_BAD_PC = 14
+from .semantics import (
+    HUB,
+    HUB_BAD_PC,
+    TABLE,
+    WRAP,
+    operand_env,
+    render,
+    straight,
+)
 
 
 # ---------------------------------------------------------------- shared
@@ -110,7 +99,7 @@ _ST_BAD_PC = 14
 # the trace tier's whole startup cost) small.  Call sites pass the local
 # value when the block materialised it and the ``st`` slot itself when it
 # did not (the slot still holds the current value then), so the writes
-# are always exact.
+# are always exact.  The slot order is ``semantics.HUB``.
 
 def _fx(st, i, ni, dcyc, n, cc, ecs, sb, se, ss, mp, th, dr, dw):
     """Normal block exit: sync the state hub, return instructions retired."""
@@ -137,96 +126,43 @@ def _fev(st, i, ni, dcyc, n, cc, ecs, sb, se, ss, mp, th, dr, dw):
     return n
 
 
-def _mf(st, i, ni, dcyc, n, cc, ecs, sb, se, ss, mp, th, dr, dw, ea, msg=None):
-    """Memory-fault exit: sync, then raise with the faulting address."""
+def _rx(st, i, ni, dcyc, n, cc, ecs, sb, se, ss, mp, th, dr, dw, exc):
+    """Fault exit: sync, then raise ``exc``."""
     _fx(st, i, ni, dcyc, n, cc, ecs, sb, se, ss, mp, th, dr, dw)
-    if msg is None:
-        raise MemoryFault(ea)
-    raise MemoryFault(ea, msg)
-
-
-def _dz(st, i, ni, dcyc, n, cc, ecs, sb, se, ss, mp, th, dr, dw, msg):
-    """Division-by-zero exit: sync, then raise."""
-    _fx(st, i, ni, dcyc, n, cc, ecs, sb, se, ss, mp, th, dr, dw)
-    raise DivisionByZero(msg)
+    raise exc
 
 
 #: stable ordering for generated-function default-arg bindings
 _PARAM_ORDER = (
-    "st",
-    "_fx",
-    "_fev",
-    "_arm",
-    "_stale",
-    "_MX",
-    "_MN",
-    "_UM",
-    "regs",
-    "words",
-    "dc_sets",
-    "record",
-    "pending_append",
-    "counters",
-    "dtlb",
-    "dtlb_lookup",
-    "dtlb_peek",
-    "tlb_entries",
-    "dcache_access",
-    "ecache_access",
-    "inflight",
-    "inflight_pop",
-    "memory",
-    "callstack",
-    "callstack_append",
+    "st", "_fx", "_fev", "_rx", "_arm", "_stale", "_MX", "_MN", "_UM",
+    "_U64", "regs", "words", "dc_sets", "dtlb", "dtlb_lookup", "dtlb_peek",
+    "tlb_entries", "dcache_access", "ecache_access", "inflight",
+    "inflight_pop", "memory", "callstack", "callstack_append",
     "callstack_pop",
 )
 
-_WRAP_EXPRS = {
-    D.K_ADD_I: "regs[{a}] + ({c})",
-    D.K_ADD_R: "regs[{a}] + regs[{c}]",
-    D.K_SUB_I: "regs[{a}] - ({c})",
-    D.K_SUB_R: "regs[{a}] - regs[{c}]",
-    D.K_MULX_I: "regs[{a}] * ({c})",
-    D.K_MULX_R: "regs[{a}] * regs[{c}]",
-    D.K_SLLX_I: "regs[{a}] << {c}",
-    D.K_SLLX_R: "regs[{a}] << (regs[{c}] & 63)",
-}
-
-_LOGIC_EXPRS = {
-    D.K_AND_I: "regs[{a}] & ({c})",
-    D.K_AND_R: "regs[{a}] & regs[{c}]",
-    D.K_OR_I: "regs[{a}] | ({c})",
-    D.K_OR_R: "regs[{a}] | regs[{c}]",
-    D.K_XOR_I: "regs[{a}] ^ ({c})",
-    D.K_XOR_R: "regs[{a}] ^ regs[{c}]",
-    D.K_SRAX_I: "regs[{a}] >> {c}",
-    D.K_SRAX_R: "regs[{a}] >> (regs[{c}] & 63)",
-}
-
-_COND_EXPRS = {
-    D.K_BE: "cc == 0",
-    D.K_BNE: "cc != 0",
-    D.K_BG: "cc > 0",
-    D.K_BGE: "cc >= 0",
-    D.K_BL: "cc < 0",
-    D.K_BLE: "cc <= 0",
-}
+#: exit argument list placeholder, resolved once the whole block is known
+_EXIT = re.compile("\x00(\\d+)\x00")
+_NAME = re.compile(r"[A-Za-z_]\w*")
 
 
 class _BlockCompiler:
     """Generates one Python function per superblock of the dispatch table.
 
-    Machine constants (penalties, cache geometry, memory bounds, watched
-    counter indexes) and hot objects (register file, arena words, cache
-    sets, bound methods) are frozen into each generated function as
-    constant-folded literals and default arguments, so a block executes
-    with local-variable speed and zero dispatch.
+    It is the trace tier's side of the semantics table: it renders each
+    row's entry with operands, PCs, penalties, cache geometry, memory
+    bounds and watched counter indexes folded to literals, and supplies
+    the table's hooks — the three-tier DTLB/D$ probes with folded MRU
+    tallies, ``pen``/``_fev`` event exits, ``_rx`` faults and ``_arm``
+    trap arming.  Hot objects (register file, arena words, cache sets,
+    bound methods) become default arguments, so a block executes with
+    local-variable speed and zero dispatch.
     """
 
-    def __init__(self, cpu, dec, tb, ncode, cfg, events_exit: bool = True) -> None:
+    def __init__(self, cpu, dec, tb, ncode, cfg,
+                 events_exit: bool = True) -> None:
         self.dec = dec
         self.tb = tb
-        self.ncode = ncode
         self.cfg = cfg
         #: when False (nothing cycle-domain is observable this run: no
         #: watched counters, no pending traps, no clock, no cycle kill or
@@ -234,27 +170,33 @@ class _BlockCompiler:
         #: accumulate them in a running local instead of exiting early
         self.events_exit = events_exit
         self.bc = cpu.base_cycles
-        self.dtlb_miss = cpu.dtlb_miss_cycles
-        self.tag_shift = cpu.dtlb._SEG_TAG_SHIFT
-        self.store_stall = cpu.store_stall_cycles
-        self.ec_hit = cpu.ecache.config.hit_cycles
-        self.ec_miss = cpu.ecache.config.miss_cycles
-        self.dc_shift = cpu.dcache.line_shift
-        self.dc_mask = cpu.dcache.set_mask
-        self.ec_line_shift = cpu.ecache.line_shift
-        self.mem_base = cpu.memory.base
-        self.nwords = len(cpu.memory.words)
+        #: every load-break cause carries a nonzero penalty when the miss
+        #: costs are nonzero, so a load's `pen` doubles as its break flag
+        self.load_pen_flag = (cpu.dtlb_miss_cycles > 0
+                              and cpu.ecache.config.hit_cycles > 0)
         #: programs with no PREFETCH rows can never populate the inflight
         #: map, so blocks omit all inflight bookkeeping entirely
-        self.has_prefetch = any(8 <= e[0] <= 9 for e in dec)
-        watching = cpu.counters.watching
-        self.w_dcrm = watching.get("dcrm")
-        self.w_dtlbm = watching.get("dtlbm")
-        self.w_ecref = watching.get("ecref")
-        self.w_ecrm = watching.get("ecrm")
-        self.w_ecstall = watching.get("ecstall")
+        self.prefetch = any(8 <= e[0] <= 9 for e in dec)
+        self.flags = (("CHAIN", False), ("PF", self.prefetch))
+        self.consts = {
+            "CYC": "pen", "TB": str(tb), "NCODE": str(ncode),
+            "BAD_PC": f"st[{HUB_BAD_PC}]",
+            "DTLB_MISS": str(cpu.dtlb_miss_cycles),
+            "EC_HIT": str(cpu.ecache.config.hit_cycles),
+            "EC_MISS": str(cpu.ecache.config.miss_cycles),
+            "STORE_STALL": str(cpu.store_stall_cycles),
+            "DC_SHIFT": str(cpu.dcache.line_shift),
+            "DC_MASK": str(cpu.dcache.set_mask),
+            "EC_LINE_SHIFT": str(cpu.ecache.line_shift),
+            "MEM_BASE": str(cpu.memory.base),
+            "NWORDS": str(len(cpu.memory.words)),
+            "TAG_SHIFT": str(cpu.dtlb._SEG_TAG_SHIFT),
+        }
+        #: watched events by counter register (blocks inline the
+        #: per-access ones the table arms)
+        self.w = dict(cpu.counters.watching)
         #: the state hub shared by every block compiled here
-        self.st: list = [0] * 15
+        self.st: list = [0] * (HUB_BAD_PC + 1)
 
         record = cpu.counters.record
         pending_append = cpu.pending_traps.append
@@ -269,47 +211,147 @@ class _BlockCompiler:
                 pending_append([due + skid, w, skid, pc,
                                 counters.last_coalesced, ea])
 
-        def _stale(th):
+        def _stale(now):
             # expire software prefetches whose ready cycle has passed
-            for ln in [l for l, r in inflight.items() if r <= th]:
+            for ln in [ln for ln, r in inflight.items() if r <= now]:
                 del inflight[ln]
 
         #: def-time bindings for generated functions; holding these also
         #: pins the bound objects so the cache key's id() checks stay sound
-        self.globals = {
-            "st": self.st,
-            "_fx": _fx,
-            "_fev": _fev,
-            "_mf": _mf,
-            "_dz": _dz,
-            "_arm": _arm,
-            "_stale": _stale,
-            "_MX": _S64_MAX,
-            "_MN": _S64_MIN,
-            "_UM": _U64M,
-            "regs": cpu.regs,
-            "words": cpu.memory.words,
-            "dc_sets": cpu.dcache.sets,
-            "record": cpu.counters.record,
-            "pending_append": cpu.pending_traps.append,
-            "counters": cpu.counters,
-            "dtlb": cpu.dtlb,
-            "dtlb_lookup": cpu.dtlb.lookup,
-            "dtlb_peek": cpu.dtlb.peek,
-            "tlb_entries": cpu.dtlb.entries,
-            "dcache_access": cpu.dcache.access,
-            "ecache_access": cpu.ecache.access,
-            "inflight": cpu.inflight_prefetches,
-            "inflight_pop": cpu.inflight_prefetches.pop,
-            "callstack": cpu.callstack,
-            "callstack_append": cpu.callstack.append,
-            "callstack_pop": cpu.callstack.pop,
-            "memory": cpu.memory,
-            "MemoryFault": MemoryFault,
-            "DivisionByZero": DivisionByZero,
-        }
+        self.globals = dict(
+            WRAP, st=self.st, _fx=_fx, _fev=_fev, _rx=_rx, _arm=_arm,
+            _stale=_stale, regs=cpu.regs, words=cpu.memory.words,
+            dc_sets=cpu.dcache.sets, dtlb=cpu.dtlb,
+            dtlb_lookup=cpu.dtlb.lookup, dtlb_peek=cpu.dtlb.peek,
+            tlb_entries=cpu.dtlb.entries, dcache_access=cpu.dcache.access,
+            ecache_access=cpu.ecache.access,
+            inflight=cpu.inflight_prefetches,
+            inflight_pop=cpu.inflight_prefetches.pop,
+            callstack=cpu.callstack, callstack_append=cpu.callstack.append,
+            callstack_pop=cpu.callstack.pop, memory=cpu.memory,
+            MemoryFault=MemoryFault, DivisionByZero=DivisionByZero,
+        )
         #: generated source per entry row (debugging / test introspection)
         self.sources: dict[int, str] = {}
+
+    # ------------------------------------------------ semantics-table hooks
+    # (see repro.machine.semantics); ``self._at`` is the instruction being
+    # rendered: (offset j, row, fault-exit i, fault-exit ni, is-memory)
+
+    def enter(self, load):
+        if self.events_exit:
+            return ["pen = 0"] + ([] if self.pen_flag else ["brk = False"])
+        # penalties accumulate across the block; the prefetch timing
+        # needs a load's entry point
+        return ["lp = pen"] if load and self.prefetch else []
+
+    def tlb(self):
+        # Three-tier translation: MRU-page hit falls straight through, a
+        # same-or-other-segment hit probes the TLB's LRU dict inline
+        # (replicating lookup's reinsert-at-MRU), and only true misses or
+        # segment switches call dtlb_lookup.  In the folded scheme
+        # (non-loop) exits add the static access count and only the
+        # lookup path *decrements* — lookup counts the ref itself; in
+        # loop mode the tallies are live because statics cannot scale
+        # with `dn`.
+        self.cnt["tlb_hits"] += 1
+        live = self.loop_mode
+        return ([
+            "if seg_base <= ea < seg_end:", "    _pg = ea >> seg_shift",
+            "else:", "    _pg = -2",  # matches no mru_page and no dict key
+            "if _pg == mru_page:", "    tlb_hits += 1" if live else "    pass",
+            "elif (_pk := seg_tag | _pg) in tlb_entries:",
+            "    del tlb_entries[_pk]", "    tlb_entries[_pk] = True",
+        ] + (["    tlb_hits += 1"] if live else [])
+            + ["    mru_page = _pg", "else:"]
+            + ([] if live else ["    tlb_hits -= 1"]))
+
+    def dprobe(self, tally, write):
+        # the D$ set's MRU hit, then an inline LRU hit, then the unit
+        self.cnt[tally] += 1
+        hit = ["if dcset and dcset[0] == line:",
+               f"    {tally} += 1" if self.loop_mode else "    pass",
+               "elif line in dcset:", "    dcset.remove(line)",
+               "    dcset.insert(0, line)"]
+        if self.loop_mode:
+            return hit + [f"    {tally} += 1",
+                          f"elif not dcache_access(ea, {write}):"]
+        return hit + [f"elif dcache_access(ea, {write}):",
+                      f"    {tally} -= 1", "else:", f"    {tally} -= 1"]
+
+    def brk(self):
+        return ["brk = True"] if self.events_exit and not self.pen_flag else []
+
+    def arm(self, event, amount, **_):
+        # the due count and trigger pc are constant-folded (instr_count
+        # is the block-entry total, offset j retires as + j + 1)
+        w = self.w.get(event)
+        if w is None:
+            return []
+        j, row = self._at[:2]
+        return [f"_arm({w}, {amount}, instr_count + {j + 1}, "
+                f"{self.tb + (row << 2)}, ea)"]
+
+    def fault(self, exc):
+        j, _, err_i, err_ni, mem = self._at
+        return [f"_rx({self._exit(err_i, err_ni, j, mem)}, {exc})"]
+
+    def _exit(self, i_expr: str, ni_expr: str, jr: int, pen: bool) -> str:
+        # exit arguments depend on which locals the finished block
+        # materialises, so they are rendered last (see _args)
+        self.exits.append((i_expr, ni_expr, jr, pen, dict(self.cnt)))
+        return f"\x00{len(self.exits) - 1}\x00"
+
+    def _args(self, names: set, i_expr: str, ni_expr: str, jr: int,
+              pen: bool, cnt: dict) -> str:
+        # Argument list for the shared exit helpers.  Locals the block
+        # never materialises are still equal to their st slots, so
+        # passing the slot back is exact.  MRU-hit tallies are folded:
+        # blocks only *decrement* on non-MRU accesses, so each exit adds
+        # the static access count so far.
+        if not self.events_exit and "pen" in names:
+            # accumulated penalties never exit the block, so every exit
+            # folds `pen` in (it is 0 before the first penalty site)
+            pen = True
+        bc = self.bc
+        if self.loop_mode:
+            # `dn` whole-pass instructions retired before this one
+            n_a = f"dn + {jr}" if jr else "dn"
+            base = n_a if bc == 1 else f"({n_a}) * {bc}"
+            cyc = f"{base} + pen" if pen else base
+        else:
+            n_a = str(jr)
+            cyc = f"{jr * bc} + pen" if pen else str(jr * bc)
+        args = [i_expr, ni_expr, cyc, n_a]
+        for name in HUB[2:]:
+            if name in ("cycles", "instr_count"):
+                continue
+            if name not in names:
+                args.append(f"st[{HUB.index(name)}]")
+            elif cnt.get(name) and not self.loop_mode:
+                args.append(f"{name} + {cnt[name]}")
+            else:
+                args.append(name)
+        return "st, " + ", ".join(args)
+
+    def _env(self, entry, j: int, row: int, e: tuple) -> dict:
+        env = dict(self.consts)
+        env.update((f"e{n}", repr(v)) for n, v in enumerate(e) if n)
+        env["pc"] = str(self.tb + (row << 2))
+        at = self._cycabs(j * self.bc)
+        env["LCYC"] = at if self.events_exit else f"{at} + lp"
+        env["NOW"] = (f"{at} + pen"
+                      if entry.shape == "mem" or not self.events_exit else at)
+        return operand_env(entry, (e[0],), env)
+
+    def _cycabs(self, off: int) -> str:
+        # absolute-cycle expression for a static in-pass offset; in loop
+        # mode `dn` completed instructions precede this pass
+        if self.loop_mode:
+            bc = self.bc
+            return (f"cycles + dn + {off}" if bc == 1
+                    else f"cycles + dn * {bc} + {off}")
+        return f"cycles + {off}"
 
     def compile(self, start: int) -> Optional[tuple]:
         """Compile the superblock entered at table row ``start``.
@@ -326,37 +368,25 @@ class _BlockCompiler:
         iterates under a deadline guard (``left - dn >= n``) and only
         returns to ``CPU.run`` when the countdown no longer fits a
         worst-case pass, so a hot self-loop costs one call per
-        checkpoint window instead of one per iteration.
+        checkpoint window instead of one per iteration.  Every exit of
+        either form passes the locals of the *whole* block (see
+        ``_args``), so iteration 2 reaching the earliest exit after the
+        body ran still syncs exact state.
         """
-        res, saw_back, mut, pen = self._compile(start, loop_mode=False)
+        res, saw_back = self._compile(start, loop_mode=False)
         if saw_back:
-            # Loop bodies break the straight-line assumption that an exit
-            # emitted at offset ``j`` runs before anything emitted later:
-            # iteration 2 reaches the earliest exit *after* the whole body.
-            # Seed the recompile with the full mutation set so every exit
-            # passes the live locals, not the stale st slots.
-            res, _, _, _ = self._compile(start, loop_mode=True,
-                                         pre_mut=mut, pre_pen=pen)
+            res, _ = self._compile(start, loop_mode=True)
         return res
 
-    def _compile(self, start: int, loop_mode: bool,
-                 pre_mut: frozenset = frozenset(),
-                 pre_pen: bool = False) -> tuple:
+    def _compile(self, start: int, loop_mode: bool) -> tuple:
         dec = self.dec
-        tb = self.tb
-        ncode = self.ncode
-        bc = self.bc
         events_exit = self.events_exit
-        lines: list[str] = []
-        needs = {"st"}
-        mut: set[str] = set(pre_mut)
+        self.loop_mode = loop_mode
+        self.exits: list = []
         #: static count of memory accesses emitted so far (folded MRU
-        #: tallies — see sargs)
-        cnt = {"tlb": 0, "dcr": 0, "dcw": 0}
-        #: whether a penalty-carrying instruction has been emitted; in
-        #: no-events-exit mode `pen` then lives across instructions and
-        #: every later exit must fold it in
-        uses_pen = [pre_pen]
+        #: tallies — see _args)
+        self.cnt = {"tlb_hits": 0, "dc_r": 0, "dc_w": 0}
+        lines: list[str] = []
         #: back edges to `start` are loopable only when penalties cannot
         #: force a mid-block checkpoint
         loopable = not events_exit
@@ -365,367 +395,30 @@ class _BlockCompiler:
         def L(pad: str, s: str) -> None:
             lines.append("    " + pad + s)
 
-        def cycabs(off: int) -> str:
-            # absolute-cycle expression for a static in-pass offset; in
-            # loop mode `dn` completed instructions precede this pass
-            if loop_mode:
-                return (f"cycles + dn + {off}" if bc == 1
-                        else f"cycles + dn * {bc} + {off}")
-            return f"cycles + {off}"
-
-        def sargs(i_expr: str, ni_expr: str, jr: int, pen: bool) -> str:
-            # Argument list for the shared exit helpers.  Locals not yet
-            # materialised (absent from `mut`) are still equal to their
-            # st slots, so passing the slot back is exact.  MRU-hit
-            # tallies are folded: blocks only *decrement* on non-MRU
-            # accesses, so each exit adds the static access count so far.
-            if not events_exit and uses_pen[0]:
-                # accumulated penalties never exit the block, so every
-                # exit after the first penalty site folds `pen` in
-                pen = True
-            if loop_mode:
-                # `dn` whole-pass instructions retired before this one;
-                # tallies are kept live (not folded), see emit_tlb
-                n_a = f"dn + {jr}" if jr else "dn"
-                base = n_a if bc == 1 else f"({n_a}) * {bc}"
-                cyc = f"{base} + pen" if pen else base
-            elif jr and pen:
-                n_a = str(jr)
-                cyc = f"{jr * bc} + pen"
-            elif jr:
-                n_a = str(jr)
-                cyc = str(jr * bc)
-            else:
-                n_a = "0"
-                cyc = "pen" if pen else "0"
-            cc_a = "cc" if "cc" in mut else "st[2]"
-            ecs_a = "ecs" if "ecs" in mut else "st[5]"
-            if "seg" in mut:
-                th_a = ("tlb_hits" if loop_mode
-                        else f"tlb_hits + {cnt['tlb']}")
-                seg_a = (f"seg_base, seg_end, seg_shift, mru_page, {th_a}")
-            else:
-                seg_a = "st[6], st[7], st[8], st[9], st[10]"
-            if "dcr" in mut:
-                dr_a = "dc_r" if loop_mode else f"dc_r + {cnt['dcr']}"
-            else:
-                dr_a = "st[11]"
-            if "dcw" in mut:
-                dw_a = "dc_w" if loop_mode else f"dc_w + {cnt['dcw']}"
-            else:
-                dw_a = "st[12]"
-            return (f"st, {i_expr}, {ni_expr}, {cyc}, {n_a}, {cc_a}, {ecs_a}, "
-                    f"{seg_a}, {dr_a}, {dw_a}")
-
-        def early_exit(pad: str, jr: int, i_expr: str, ni_expr: str) -> None:
-            needs.add("_fev")
-            L(pad, f"return _fev({sargs(i_expr, ni_expr, jr, pen=True)})")
-
         def final_exit(pad: str, jr: int, i_expr: str, ni_expr: str) -> None:
-            needs.add("_fx")
-            L(pad, f"return _fx({sargs(i_expr, ni_expr, jr, pen=False)})")
+            L(pad, f"return _fx({self._exit(i_expr, ni_expr, jr, False)})")
 
-        def rec(pad: str, w: int, amount, j: int, row: int,
-                ea_expr: str) -> None:
-            # counters.record for a per-access event, exactly where the
-            # per-instruction loop performs it; due count and trigger pc
-            # are constant-folded (icount is the block-entry total, the
-            # instruction at offset j retires as icount + j + 1).
-            mut.add("icount")
-            needs.add("_arm")
-            L(pad, f"_arm({w}, {amount}, icount + {j + 1}, "
-                   f"{tb + (row << 2)}, {ea_expr})")
-
-        def emit_tlb(j: int, row: int, pen_flag: bool) -> None:
-            # Three-tier translation: MRU-page hit falls straight through,
-            # a same-or-other-segment hit probes the TLB's LRU dict inline
-            # (replicating lookup's reinsert-at-MRU), and only true misses
-            # or segment switches call dtlb_lookup.  In the folded scheme
-            # (non-loop) exits add the static access count and only the
-            # lookup path *decrements* — lookup counts the ref itself; in
-            # loop mode the tallies are live because statics cannot scale
-            # with `dn`.
-            mut.add("seg")
-            cnt["tlb"] += 1
-            needs.update(("dtlb", "dtlb_lookup", "tlb_entries", "memory"))
-            L("", "if seg_base <= ea < seg_end:")
-            L("", "    _pg = ea >> seg_shift")
-            L("", "else:")
-            L("", "    _pg = -2")  # matches no mru_page and no dict key
-            if loop_mode:
-                L("", "if _pg == mru_page:")
-                L("", "    tlb_hits += 1")
-                L("", "elif (_pk := seg_tag | _pg) in tlb_entries:")
-            else:
-                L("", "if _pg == mru_page:")
-                L("", "    pass")
-                L("", "elif (_pk := seg_tag | _pg) in tlb_entries:")
-            L("", "    del tlb_entries[_pk]")
-            L("", "    tlb_entries[_pk] = True")
-            if loop_mode:
-                L("", "    tlb_hits += 1")
-            L("", "    mru_page = _pg")
-            L("", "else:")
-            if not loop_mode:
-                L("", "    tlb_hits -= 1")
-            L("", "    if not dtlb_lookup(ea, memory):")
-            if events_exit:
-                L("", f"        pen = {self.dtlb_miss}")
-                if not pen_flag:
-                    L("", "        brk = True")
-            else:
-                L("", f"        pen += {self.dtlb_miss}")
-            if self.w_dtlbm is not None:
-                rec("        ", self.w_dtlbm, 1, j, row, "ea")
-            L("", "    seg = dtlb._seg_cache")
-            L("", "    seg_base = seg.base")
-            L("", "    seg_end = seg.end")
-            L("", "    seg_shift = seg.page_shift")
-            L("", f"    seg_tag = seg.seg_id << {self.tag_shift}")
-            L("", "    mru_page = ea >> seg_shift")
-
-        def emit_load(j: int, row: int, e: tuple, exit_i: str, exit_ni: str,
-                      err_i: str, err_ni: str) -> None:
-            k, rd = e[0], e[1]
-            mut.update(("cycles", "ecs"))
-            needs.update(("regs", "words", "dc_sets", "dcache_access",
-                          "ecache_access"))
-            mut.add("dcr")
-            o = e[3]
-            ea = (f"regs[{e[2]}] + regs[{o}]" if k & 1
-                  else f"regs[{e[2]}] + ({o})")
-            jb = j * bc
-            # every load-break cause carries a nonzero penalty when the
-            # miss costs are nonzero, so `pen` doubles as the break flag
-            pen_flag = self.dtlb_miss > 0 and self.ec_hit > 0
-            uses_pen[0] = True
-            L("", f"ea = {ea}")
-            if events_exit:
-                L("", "pen = 0")
-                if not pen_flag:
-                    L("", "brk = False")
-            elif self.has_prefetch:
-                # penalties accumulate across the block; the prefetch
-                # timing below needs this instruction's entry point
-                L("", "lp = pen")
-            emit_tlb(j, row, pen_flag)
-            cnt["dcr"] += 1
-            if self.has_prefetch:
-                L("", "full_miss = False")
-            L("", f"line = ea >> {self.dc_shift}")
-            L("", f"dcset = dc_sets[line & {self.dc_mask}]")
-            L("", "if dcset and dcset[0] == line:")
-            L("", "    dc_r += 1" if loop_mode else "    pass")
-            L("", "elif line in dcset:")
-            L("", "    dcset.remove(line)")
-            L("", "    dcset.insert(0, line)")
-            if loop_mode:
-                L("", "    dc_r += 1")
-            L("", "else:")
-            if not loop_mode:
-                L("", "    dc_r -= 1")
-            L("", "    if not dcache_access(ea, False):")
-            if events_exit and not pen_flag:
-                L("", "        brk = True")
-            if self.w_dcrm is not None:
-                rec("        ", self.w_dcrm, 1, j, row, "ea")
-            L("", f"        pen += {self.ec_hit}")
-            if self.w_ecref is not None:
-                rec("        ", self.w_ecref, 1, j, row, "ea")
-            L("", "        if not ecache_access(ea, False):")
-            if self.has_prefetch:
-                L("", "            full_miss = True")
-            L("", f"            pen += {self.ec_miss}")
-            L("", f"            ecs += {self.ec_miss}")
-            if self.w_ecrm is not None:
-                rec("            ", self.w_ecrm, 1, j, row, "ea")
-            if self.w_ecstall is not None:
-                rec("            ", self.w_ecstall, self.ec_miss, j, row, "ea")
-            if self.has_prefetch:
-                needs.update(("inflight", "inflight_pop", "_stale"))
-                lc = f"cycles + {jb}" if events_exit else f"{cycabs(jb)} + lp"
-                L("", "if inflight:")
-                L("", f"    ready = inflight_pop(ea >> {self.ec_line_shift},"
-                      " None)")
-                L("", f"    if ready is not None and not full_miss and "
-                      f"ready > {lc}:")
-                L("", f"        wait = ready - ({lc})")
-                L("", "        pen += wait")
-                L("", "        ecs += wait")
-                if events_exit and not pen_flag:
-                    L("", "        brk = True")
-                L("", "    if inflight:")
-                L("", f"        _stale({cycabs(jb)} + pen)")
-            if k < 2:  # LDX
-                L("", "if ea & 7:")
-                L("", f"    _mf({sargs(err_i, err_ni, j, True)}, ea, "
-                      '"misaligned 8-byte load")')
-            L("", f"widx = (ea - {self.mem_base}) >> 3")
-            L("", f"if widx < 0 or widx >= {self.nwords}:")
-            L("", f"    _mf({sargs(err_i, err_ni, j, True)}, ea)")
-            if rd:
-                if k < 2:
-                    L("", f"regs[{rd}] = words[widx]")
-                else:
-                    L("", f"regs[{rd}] = (words[widx] >> ((ea & 7) << 3)) & 0xFF")
-            if events_exit:
-                L("", "if pen:" if pen_flag else "if brk:")
-                early_exit("    ", j + 1, exit_i, exit_ni)
-
-        def emit_store(j: int, row: int, e: tuple, exit_i: str, exit_ni: str,
-                       err_i: str, err_ni: str) -> None:
-            k = e[0]
-            mut.add("cycles")
-            needs.update(("regs", "words", "dc_sets", "dcache_access",
-                          "ecache_access"))
-            mut.add("dcw")
-            o = e[3]
-            ea = (f"regs[{e[2]}] + regs[{o}]" if k & 1
-                  else f"regs[{e[2]}] + ({o})")
-            jb = j * bc
-            uses_pen[0] = True
-            L("", f"ea = {ea}")
-            if events_exit:
-                L("", "pen = 0")
-                L("", "brk = False")
-            emit_tlb(j, row, pen_flag=False)
-            cnt["dcw"] += 1
-            L("", f"line = ea >> {self.dc_shift}")
-            L("", f"dcset = dc_sets[line & {self.dc_mask}]")
-            L("", "if dcset and dcset[0] == line:")
-            L("", "    dc_w += 1" if loop_mode else "    pass")
-            L("", "elif line in dcset:")
-            L("", "    dcset.remove(line)")
-            L("", "    dcset.insert(0, line)")
-            if loop_mode:
-                L("", "    dc_w += 1")
-            L("", "else:")
-            if not loop_mode:
-                L("", "    dc_w -= 1")
-            L("", "    if not dcache_access(ea, True):")
-            if events_exit:
-                L("", "        brk = True")
-            if self.store_stall:
-                L("", f"        pen += {self.store_stall}")
-            if self.w_ecref is not None:
-                rec("        ", self.w_ecref, 1, j, row, "ea")
-            L("", "        ecache_access(ea, True)")
-            if self.has_prefetch:
-                needs.update(("inflight", "inflight_pop", "_stale"))
-                L("", "if inflight:")
-                L("", f"    inflight_pop(ea >> {self.ec_line_shift}, None)")
-                L("", "    if inflight:")
-                L("", f"        _stale({cycabs(jb)} + pen)")
-            if k < 6:  # STX
-                L("", "if ea & 7:")
-                L("", f"    _mf({sargs(err_i, err_ni, j, True)}, ea, "
-                      '"misaligned 8-byte store")')
-            L("", f"widx = (ea - {self.mem_base}) >> 3")
-            L("", f"if widx < 0 or widx >= {self.nwords}:")
-            L("", f"    _mf({sargs(err_i, err_ni, j, True)}, ea)")
-            if k < 6:
-                L("", f"words[widx] = regs[{e[1]}]")
-            else:
-                needs.update(("_MX", "_UM"))
-                L("", "shift = (ea & 7) << 3")
-                L("", "word = words[widx] & _UM")
-                L("", "word = (word & ~(0xFF << shift)) | "
-                      f"((regs[{e[1]}] & 0xFF) << shift)")
-                L("", "if word > _MX:")
-                L("", f"    word -= {_U64}")
-                L("", "words[widx] = word")
-            if events_exit:
-                L("", "if brk:")
-                early_exit("    ", j + 1, exit_i, exit_ni)
-
-        def emit_prefetch(j: int, e: tuple) -> None:
-            k = e[0]
-            mut.add("cycles")
-            needs.update(("regs", "dtlb_peek", "memory", "dcache_access",
-                          "ecache_access", "inflight"))
-            o = e[3]
-            ea = (f"regs[{e[2]}] + regs[{o}]" if k & 1
-                  else f"regs[{e[2]}] + ({o})")
-            L("", f"ea = {ea}")
-            L("", "try:")
-            L("", "    translated = dtlb_peek(ea, memory)")
-            L("", "except MemoryFault:")
-            L("", "    translated = False")
-            tail = " + pen" if not events_exit and uses_pen[0] else ""
-            L("", "if translated and not dcache_access(ea, False):")
-            L("", "    if not ecache_access(ea, False):")
-            L("", f"        inflight[ea >> {self.ec_line_shift}] = "
-                  f"{cycabs(j * bc + self.ec_miss)}{tail}")
-
-        def emit_div(j: int, row: int, e: tuple,
-                     err_i: str, err_ni: str) -> None:
-            k, rd = e[0], e[1]
-            needs.add("regs")
-            msg = f'"at pc 0x{tb + (row << 2):x}"'
-            if k & 1:
-                L("", f"_b = regs[{e[3]}]")
-                L("", "if _b == 0:")
-                L("", f"    _dz({sargs(err_i, err_ni, j, False)}, {msg})")
-            else:
-                if e[3] == 0:
-                    L("", f"_dz({sargs(err_i, err_ni, j, False)}, {msg})")
-                    return
-                L("", f"_b = {e[3]}")
-            L("", f"_a = regs[{e[2]}]")
-            L("", "_q = abs(_a) // abs(_b)")
-            L("", "if (_a < 0) != (_b < 0):")
-            L("", "    _q = -_q")
-            if rd:
-                if k < 36:
-                    L("", f"regs[{rd}] = _q")
-                else:
-                    L("", f"regs[{rd}] = _a - _q * _b")
-
-        def emit_instr(j: int, row: int, e: tuple, exit_i: str, exit_ni: str,
-                       err_i: str, err_ni: str) -> None:
-            k = e[0]
-            if k == D.K_NOP:
-                return
-            needs.add("regs")
-            if k == D.K_SET:
-                L("", f"regs[{e[1]}] = {e[2]}")
-            elif k == D.K_MOV:
-                L("", f"regs[{e[1]}] = regs[{e[2]}]")
-            elif k == D.K_CMP_I:
-                mut.add("cc")
-                L("", f"cc = regs[{e[1]}] - ({e[2]})")
-            elif k == D.K_CMP_R:
-                mut.add("cc")
-                L("", f"cc = regs[{e[1]}] - regs[{e[2]}]")
-            elif k in _WRAP_EXPRS:
-                needs.update(("_MX", "_MN", "_UM"))
-                L("", "value = " + _WRAP_EXPRS[k].format(a=e[2], c=e[3]))
-                L("", "if value > _MX or value < _MN:")
-                L("", "    value = ((value - _MN) & _UM) + _MN")
-                L("", f"regs[{e[1]}] = value")
-            elif k in _LOGIC_EXPRS:
-                L("", f"regs[{e[1]}] = " + _LOGIC_EXPRS[k].format(a=e[2], c=e[3]))
-            elif k == D.K_SRLX_I or k == D.K_SRLX_R:
-                needs.update(("_MX", "_UM"))
-                sh = f"{e[3]}" if k == D.K_SRLX_I else f"(regs[{e[3]}] & 63)"
-                L("", f"value = (regs[{e[2]}] & _UM) >> {sh}")
-                L("", "if value > _MX:")
-                L("", f"    value -= {_U64}")
-                L("", f"regs[{e[1]}] = value")
-            elif k < 4:
-                emit_load(j, row, e, exit_i, exit_ni, err_i, err_ni)
-            elif k < 8:
-                emit_store(j, row, e, exit_i, exit_ni, err_i, err_ni)
-            elif k < 10:
-                emit_prefetch(j, e)
-            else:  # SDIVX / SMODX
-                emit_div(j, row, e, err_i, err_ni)
+        def emit(j: int, row: int, e: tuple, exit_i: str, exit_ni: str,
+                 err_i: str, err_ni: str) -> None:
+            entry = TABLE[e[0]]
+            mem = entry.shape == "mem"
+            self._at = (j, row, err_i, err_ni, mem)
+            self.pen_flag = entry.name == "load" and self.load_pen_flag
+            for line in render(entry.body, self, (e[0],),
+                               self._env(entry, j, row, e)):
+                L("", line)
+            if mem and events_exit:
+                # the instruction retired; checkpoint right after it
+                L("", "if pen:" if self.pen_flag else "if brk:")
+                args = self._exit(exit_i, exit_ni, j + 1, True)
+                L("    ", f"return _fev({args})")
 
         # ---- superblock walk: straight-line emission that continues
         # across unconditional edges (BA/CALL targets) and the fall-through
         # side of conditionals (the taken side becomes an in-block early
-        # return), stopping at computed jumps, traps, already-emitted rows
-        # and the length cap.
+        # return), stopping at computed jumps, traps, kinds with no
+        # straight-line or jump entry, already-emitted rows and the
+        # length cap.
         max_block = self.cfg.max_block_instructions
         ndec = len(dec)
         i = start
@@ -737,31 +430,39 @@ class _BlockCompiler:
                 break
             e = dec[i]
             k = e[0]
-            if k <= SIMPLE_KIND_MAX:
+            if straight(k):
                 visited.add(i)
-                emit_instr(j, i, e, str(i + 1), str(i + 2),
-                           str(i), str(i + 1))
+                emit(j, i, e, str(i + 1), str(i + 2), str(i), str(i + 1))
                 j += 1
                 i += 1
                 continue
-            if k < D.K_BA or k > D.K_JMPL:  # TA / HALT / K_BAD / unknown
-                final_exit("", j, str(i), str(i + 1))
-                break
+            entry = TABLE.get(k)
             d = i + 1
             de = dec[d] if d < ndec else (D.K_BAD, None)
-            if de[0] > SIMPLE_KIND_MAX or j + 2 > max_block:
-                # the delay slot itself transfers control (or no room):
-                # end the block *before* the branch
+            if (entry is None or entry.shape != "jump"
+                    or not straight(de[0]) or j + 2 > max_block):
+                # TA / HALT / K_BAD / unknown, or the delay slot itself
+                # transfers control (or no room): end the block *before*
+                # the branch
                 final_exit("", j, str(i), str(i + 1))
                 break
             visited.add(i)
             visited.add(d)
-            if k == D.K_BA:
-                t = e[1]
-                j += 1  # the branch itself retires
-                emit_instr(j, d, de, str(t), str(t + 1), str(d), str(t))
+            for line in render(entry.body, self, (k,),
+                               self._env(entry, j, i, e)):
+                L("", line)
+            j += 1  # the branch itself retires
+            if entry.cond is None and entry.target != "$e1":
+                # computed target (JMPL): the block ends after the slot
+                emit(j, d, de, "_ti", "_ti + 1", str(d), "_ti")
                 j += 1
-                if t == start and loopable:
+                final_exit("", j, "_ti", "_ti + 1")
+                break
+            t = e[1]
+            if entry.cond is None:
+                emit(j, d, de, str(t), str(t + 1), str(d), str(t))
+                j += 1
+                if k == D.K_BA and t == start and loopable:
                     saw_back = True
                     if loop_mode:
                         # unconditional back edge: iterate in-block while
@@ -773,52 +474,17 @@ class _BlockCompiler:
                         break
                 i = t
                 continue
-            if k == D.K_CALL:
-                t = e[1]
-                pc_b = tb + (i << 2)
-                needs.update(("regs", "callstack_append"))
-                L("", f"regs[{REG_RA}] = {pc_b}")
-                L("", f"callstack_append({pc_b})")
-                j += 1
-                emit_instr(j, d, de, str(t), str(t + 1), str(d), str(t))
-                j += 1
-                i = t
-                continue
-            if k == D.K_JMPL:
-                rd = e[1]
-                needs.add("regs")
-                if rd:
-                    L("", f"regs[{rd}] = {tb + (i << 2)}")
-                L("", f"_t = regs[{e[2]}] + ({e[3]})")
-                if e[4]:  # RET: pop the shadow call stack
-                    needs.update(("callstack", "callstack_pop"))
-                    L("", "if callstack:")
-                    L("", "    callstack_pop()")
-                L("", f"_ti = (_t - {tb}) >> 2")
-                L("", f"if _t & 3 or _ti < 0 or _ti > {ncode}:")
-                L("", "    st[14] = _t")
-                L("", f"    _ti = {ncode}")
-                L("", "_t = _ti")
-                j += 1
-                emit_instr(j, d, de, "_t", "_t + 1", str(d), "_t")
-                j += 1
-                final_exit("", j, "_t", "_t + 1")
-                break
             # conditional branch: decide before the delay slot executes
             # (a CMP in the delay slot must not affect this transfer)
-            mut.add("cc")
-            t = e[1]
             fall = i + 2
-            j += 1
             if t == fall:  # degenerate branch-to-fall-through
-                emit_instr(j, d, de, str(fall), str(fall + 1),
-                           str(d), str(fall))
+                emit(j, d, de, str(fall), str(fall + 1), str(d), str(fall))
                 j += 1
                 i = fall
                 continue
-            L("", f"_tk = {_COND_EXPRS[k]}")
+            L("", f"_tk = {entry.cond}")
             L("", f"_t = {t} if _tk else {fall}")
-            emit_instr(j, d, de, "_t", "_t + 1", str(d), "_t")
+            emit(j, d, de, "_t", "_t + 1", str(d), "_t")
             j += 1
             if t == start and loopable:
                 saw_back = True
@@ -835,35 +501,27 @@ class _BlockCompiler:
             i = fall
 
         if j < self.cfg.min_block_instructions:
-            return None, saw_back, frozenset(mut), uses_pen[0]
+            return None, saw_back
 
+        body = "\n".join(lines)
+        names = set(_NAME.findall(body))
+        body = _EXIT.sub(
+            lambda m: self._args(names, *self.exits[int(m[1])]), body)
         head = []
-        if not events_exit and uses_pen[0]:
+        if not events_exit and "pen" in names:
             head.append("pen = 0")
-        if "cc" in mut:
-            head.append("cc = st[2]")
-        if "cycles" in mut:
-            head.append("cycles = st[3]")
-        if "icount" in mut:
-            head.append("icount = st[4]")
-        if "ecs" in mut:
-            head.append("ecs = st[5]")
-        if "seg" in mut:
+        for name in HUB[2:]:
+            if name in names:
+                head.append(f"{name} = st[{HUB.index(name)}]")
+        if "seg_base" in names:
             # `seg_tag` shadows the TLB's own cached segment tag: the st
             # seg slots are only ever written from ``dtlb._seg_cache``, so
             # whenever they describe a valid segment the TLB's tag matches
             # (and when they are the invalid sentinel the first access
             # takes the slow path and rewrites everything anyway).
-            needs.add("dtlb")
-            head += ["seg_base = st[6]", "seg_end = st[7]",
-                     "seg_shift = st[8]", "mru_page = st[9]",
-                     "seg_tag = dtlb._seg_tag",
-                     "tlb_hits = st[10]"]
-        if "dcr" in mut:
-            head.append("dc_r = st[11]")
-        if "dcw" in mut:
-            head.append("dc_w = st[12]")
-        params = [p for p in _PARAM_ORDER if p in needs]
+            head.append("seg_tag = dtlb._seg_tag")
+        names.add("st")  # the exits' and the head's
+        params = [p for p in _PARAM_ORDER if p in names]
         src = "def _blk(left, {}):\n".format(
             ", ".join(p + "=" + p for p in params))
         src += "".join("    " + h + "\n" for h in head)
@@ -871,14 +529,14 @@ class _BlockCompiler:
             # wrap the body so back edges to `start` can iterate in-block;
             # the guard constant is the finished block's worst-case length
             src += "    dn = 0\n    while True:\n"
-            src += "".join("    " + line + "\n" for line in lines)
+            src += "".join("    " + line + "\n" for line in body.split("\n"))
             src = src.replace("__NMAX__", str(j))
         else:
-            src += "".join(line + "\n" for line in lines)
+            src += body + "\n"
         g = dict(self.globals)
         exec(src, g)
         self.sources[start] = src
-        return (j, g["_blk"]), saw_back, frozenset(mut), uses_pen[0]
+        return (j, g["_blk"]), saw_back
 
 
 def _bind_key(cpu) -> tuple:

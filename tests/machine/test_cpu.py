@@ -1,8 +1,15 @@
-"""Unit tests for the CPU: ALU semantics, delay slots, traps, skid."""
+"""Unit tests for the CPU: ALU semantics, delay slots, traps, skid.
+
+Every case runs on all three engines: the rendered dispatch chain
+(``fast``, the classes as written), then the reference oracle and the
+trace tier with blocks compiled on first entry (the ``...Reference`` and
+``...Trace`` subclasses at the bottom), so each kind's semantics-table
+entry is checked on both of its renderings.
+"""
 
 import pytest
 
-from repro.config import ARENA_BASE, tiny_config
+from repro.config import ARENA_BASE, TraceEngineConfig, tiny_config
 from repro.errors import DivisionByZero, IllegalInstruction, MemoryFault
 from repro.isa.instructions import Instr, Op
 from repro.isa.registers import REG_RA, reg_number
@@ -19,8 +26,23 @@ TEXT = ARENA_BASE + 0x1000
 DATA = ARENA_BASE + 0x8000
 
 
+#: the engine the current test runs on (set by the autouse fixture)
+ENGINE = ["fast"]
+#: compile every block on first entry, however short
+EAGER_TRACE = TraceEngineConfig(hot_threshold=1, min_block_instructions=1)
+
+
+@pytest.fixture(autouse=True)
+def engine(request):
+    ENGINE[0] = getattr(request.cls, "ENGINE", "fast")
+    yield ENGINE[0]
+    ENGINE[0] = "fast"
+
+
 def make_machine(code, segments=True):
     machine = Machine(tiny_config())
+    machine.cpu.engine = ENGINE[0]
+    machine.cpu.trace_config = EAGER_TRACE
     if segments:
         machine.memory.add_segment("text", ARENA_BASE, 0x8000, 1024)
         machine.memory.add_segment("data", DATA, 0x8000, 1024)
@@ -361,3 +383,10 @@ class TestOverflowTraps:
         assert len(ticks) >= 4
         for pc in ticks:
             assert TEXT <= pc <= TEXT + len(machine.cpu.code) * 4
+
+
+# every case again on the reference oracle and on the trace tier
+for _cls in (TestAlu, TestBranches, TestMemoryOps, TestTraps, TestOverflowTraps):
+    for _engine in ("reference", "trace"):
+        _name = _cls.__name__ + _engine.title()
+        globals()[_name] = type(_name, (_cls,), {"ENGINE": _engine})

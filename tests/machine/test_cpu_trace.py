@@ -13,7 +13,7 @@ import pytest
 from repro import build_executable, tiny_config
 from repro.collect.collector import CollectConfig, Collector, collect
 from repro.config import TraceEngineConfig
-from repro.errors import WatchdogExpired
+from repro.errors import IllegalInstruction, WatchdogExpired
 from repro.kernel.process import Process
 from repro.lang.fuzz import INPUT_LEN, generate_source
 
@@ -181,6 +181,34 @@ class TestIntervalOneCounters:
         ref = journals("reference")
         got = journals("trace")
         assert got == ref
+
+
+class TestFailClosed:
+    """A kind with no semantics-table entry must end every superblock,
+    and the dispatch chain must raise for it — never run it as some other
+    kind."""
+
+    @pytest.mark.parametrize("kind", [15, 38, 39])
+    def test_unused_kind_raises_like_fast(self, kind):
+        program = build_executable(HOT_LOOP, name="hotloop")
+        outcomes = []
+        for engine in ("fast", "trace"):
+            process = Process(program, tiny_config(), input_longs=INPUT)
+            cpu = process.machine.cpu
+            cpu.engine = engine
+            cpu.trace_config = TraceEngineConfig(hot_threshold=1,
+                                                 min_block_instructions=1)
+            dec = cpu._dispatch_table()
+            # the first row whose neighbours are simple ALU rows
+            row = next(r for r in range(1, len(dec) - 1)
+                       if all(10 <= dec[q][0] <= 33 for q in (r - 1, r, r + 1)))
+            dec[row] = (kind, 1, 2, 3)
+            with pytest.raises(IllegalInstruction) as raised:
+                process.run()
+            outcomes.append((str(raised.value), cpu.instr_count, cpu.pc))
+        assert "unknown kind" in outcomes[0][0]
+        assert outcomes[1] == outcomes[0]
+        assert cpu.trace_stats()["blocks_compiled"] > 0
 
 
 class TestProgramCacheAndStats:
