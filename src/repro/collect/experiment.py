@@ -44,7 +44,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -94,6 +94,85 @@ def _normalize_dir(directory) -> Path:
 
 
 # ----------------------------------------------------------------- events
+#
+# Journal wire format: one compact JSON object per line, keys in dataclass
+# field order.  The fields added after the first recordings (HWC latency,
+# scale, core, thread; truth true_latency, core, thread; clock core,
+# thread) appear only when they differ from their default, so older
+# journals stay byte-identical.  The encoders build the dict by hand rather
+# than through ``dataclasses.asdict``, which deep-copies every callstack
+# and register tuple only to serialise it.  The decoders type-check every
+# field and raise ExperimentCorrupt on any mismatch.
+
+#: compact encoder shared by every event type (``json.dumps`` with
+#: ``separators`` would build a new encoder per call)
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+_INT = (int,)
+_STR = (str,)
+_OPT_INT = (int, type(None))
+_INTS = (list,)  # a list of ints, decoded to a tuple
+_INT_ONLY = frozenset({int})
+
+
+class _Wire:
+    """One event type's decoding schema: for each dataclass field in
+    order, its allowed JSON value types (``bool`` never passes for
+    ``int``: ``type(True) is bool``) and its default.  Exactly one field
+    is a list of ints, which becomes a tuple."""
+
+    def __init__(self, cls, label: str, *types) -> None:
+        self.cls = cls
+        self.label = label
+        self.schema = tuple(
+            (f.name, allowed, f.default) for f, allowed in zip(fields(cls), types)
+        )
+        self.seq = self.schema[types.index(_INTS)][0]
+
+    def decode(self, line: str, source: str, lineno: int):
+        """Parse and type-check one line into an event."""
+        try:
+            record = json.loads(line)
+        except ValueError as error:
+            raise self._corrupt(str(error), source, lineno) from error
+        if type(record) is not dict:
+            raise self._corrupt("not a JSON object", source, lineno)
+        for name, allowed, default in self.schema:
+            if name in record:
+                if type(record[name]) not in allowed:
+                    raise self._mistyped(name, allowed, record[name], source, lineno)
+            elif default is MISSING:
+                raise self._corrupt(f"missing key {name!r}", source, lineno)
+            else:
+                record[name] = default
+        if len(record) != len(self.schema):
+            unknown = sorted(record.keys() - {name for name, _, _ in self.schema})
+            raise self._corrupt(f"unknown keys {unknown}", source, lineno)
+        seq = record[self.seq]
+        if not set(map(type, seq)) <= _INT_ONLY:
+            raise self._corrupt(f"{self.seq} must be a list of ints", source, lineno)
+        record[self.seq] = tuple(seq)
+        # the checked record becomes the instance's attributes, the way
+        # pickle restores an instance: the frozen dataclass __init__ would
+        # spend an object.__setattr__ per field (the event classes have no
+        # __post_init__ and no __slots__)
+        event = object.__new__(self.cls)
+        event.__dict__.update(record)
+        return event
+
+    def _mistyped(self, name, allowed, value, source, lineno):
+        expected = " or ".join(
+            "null" if t is type(None) else t.__name__ for t in allowed
+        )
+        return self._corrupt(
+            f"{name} must be {expected}, got {json.dumps(value)}", source, lineno
+        )
+
+    def _corrupt(self, message, source, lineno) -> ExperimentCorrupt:
+        return ExperimentCorrupt(
+            f"bad {self.label} event: {message}", file=source, line=lineno
+        )
+
 
 @dataclass(frozen=True)
 class HwcEvent:
@@ -129,36 +208,44 @@ class HwcEvent:
 
     def to_json(self) -> str:
         """Serialize to one JSON line."""
-        record = asdict(self)
-        record["callstack"] = list(self.callstack)
+        record = {
+            "counter": self.counter, "event": self.event,
+            "weight": self.weight, "trap_pc": self.trap_pc,
+            "candidate_pc": self.candidate_pc,
+            "effective_address": self.effective_address,
+            "status": self.status, "ea_reason": self.ea_reason,
+            "cycle": self.cycle, "callstack": list(self.callstack),
+            "coalesced": self.coalesced,
+        }
         # keep journals byte-identical to pre-taxonomy recordings: the new
         # fields appear on the wire only when they carry information
-        if record["latency"] is None:
-            del record["latency"]
-        if record["scale"] == 1:
-            del record["scale"]
-        if record["core"] == 0:
-            del record["core"]
-        if record["thread"] == 0:
-            del record["thread"]
-        return json.dumps(record, separators=(",", ":"))
+        if self.latency is not None:
+            record["latency"] = self.latency
+        if self.scale != 1:
+            record["scale"] = self.scale
+        if self.core != 0:
+            record["core"] = self.core
+        if self.thread != 0:
+            record["thread"] = self.thread
+        return _encode(record)
 
     @staticmethod
     def from_json(line: str, source: str = "", lineno: int = 0) -> "HwcEvent":
         """Parse one JSON line back into an event.
 
-        Malformed input (bad JSON, missing keys, wrong shapes) raises
-        :class:`ExperimentCorrupt` carrying ``source``/``lineno`` context
-        instead of leaking raw json/KeyError/TypeError.
+        Malformed input (bad JSON, missing or unknown keys, a field of the
+        wrong JSON type) raises :class:`ExperimentCorrupt` carrying
+        ``source``/``lineno`` context instead of leaking raw
+        json/KeyError/TypeError or constructing a mistyped event.
         """
-        try:
-            record = json.loads(line)
-            record["callstack"] = tuple(record["callstack"])
-            return HwcEvent(**record)
-        except (ValueError, KeyError, TypeError, AttributeError) as error:
-            raise ExperimentCorrupt(
-                f"bad HWC event: {error}", file=source, line=lineno
-            ) from error
+        return _HWC_WIRE.decode(line, source, lineno)
+
+
+_HWC_WIRE = _Wire(
+    HwcEvent, "HWC",
+    _INT, _STR, _INT, _INT, _OPT_INT, _OPT_INT, _STR, _STR, _INT, _INTS,
+    _INT, _OPT_INT, _INT, _INT, _INT,
+)
 
 
 @dataclass(frozen=True)
@@ -198,28 +285,34 @@ class TruthEvent:
 
     def to_json(self) -> str:
         """Serialize to one JSON line."""
-        record = asdict(self)
-        record["regs"] = list(self.regs)
+        record = {
+            "seq": self.seq, "counter": self.counter, "event": self.event,
+            "trap_pc": self.trap_pc, "cycle": self.cycle,
+            "true_trigger_pc": self.true_trigger_pc,
+            "true_effective_address": self.true_effective_address,
+            "true_skid": self.true_skid, "coalesced": self.coalesced,
+            "regs": list(self.regs),
+        }
         # as in HwcEvent.to_json: absent unless it carries information
-        if record["true_latency"] is None:
-            del record["true_latency"]
-        if record["core"] == 0:
-            del record["core"]
-        if record["thread"] == 0:
-            del record["thread"]
-        return json.dumps(record, separators=(",", ":"))
+        if self.true_latency is not None:
+            record["true_latency"] = self.true_latency
+        if self.core != 0:
+            record["core"] = self.core
+        if self.thread != 0:
+            record["thread"] = self.thread
+        return _encode(record)
 
     @staticmethod
     def from_json(line: str, source: str = "", lineno: int = 0) -> "TruthEvent":
         """Parse one JSON line back into an event (see HwcEvent.from_json)."""
-        try:
-            record = json.loads(line)
-            record["regs"] = tuple(record["regs"])
-            return TruthEvent(**record)
-        except (ValueError, KeyError, TypeError, AttributeError) as error:
-            raise ExperimentCorrupt(
-                f"bad truth event: {error}", file=source, line=lineno
-            ) from error
+        return _TRUTH_WIRE.decode(line, source, lineno)
+
+
+_TRUTH_WIRE = _Wire(
+    TruthEvent, "truth",
+    _INT, _INT, _STR, _INT, _INT, _INT, _OPT_INT, _INT, _INT, _INTS,
+    _OPT_INT, _INT, _INT,
+)
 
 
 @dataclass(frozen=True)
@@ -244,21 +337,15 @@ class ClockEvent:
             record["core"] = self.core
         if self.thread:
             record["thread"] = self.thread
-        return json.dumps(record, separators=(",", ":"))
+        return _encode(record)
 
     @staticmethod
     def from_json(line: str, source: str = "", lineno: int = 0) -> "ClockEvent":
         """Parse one JSON line back into an event (see HwcEvent.from_json)."""
-        try:
-            record = json.loads(line)
-            return ClockEvent(
-                record["pc"], record["cycle"], tuple(record["callstack"]),
-                record.get("core", 0), record.get("thread", 0),
-            )
-        except (ValueError, KeyError, TypeError, AttributeError) as error:
-            raise ExperimentCorrupt(
-                f"bad clock event: {error}", file=source, line=lineno
-            ) from error
+        return _CLOCK_WIRE.decode(line, source, lineno)
+
+
+_CLOCK_WIRE = _Wire(ClockEvent, "clock", _INT, _INT, _INTS, _INT, _INT)
 
 
 @dataclass
@@ -821,14 +908,15 @@ class Experiment:
     def _iter_jsonl(file: Path, parse, strict: bool,
                     salvage: SalvageReport):
         """Yield parsed events line by line, tallying salvage stats."""
-        stats = salvage.file(file.name)
+        name = file.name
+        stats = salvage.file(name)
         with open(file, errors="replace") as stream:
             for lineno, line in enumerate(stream, 1):
                 if not line.strip():
                     continue
                 stats.lines_read += 1
                 try:
-                    event = parse(line, source=file.name, lineno=lineno)
+                    event = parse(line, name, lineno)
                 except ExperimentCorrupt as error:
                     if strict:
                         raise

@@ -18,11 +18,12 @@ from repro.analyze.fsck import (
     FSCK_UNRECOVERABLE,
     fsck_experiment,
 )
-from repro.analyze.reduce import reduce_experiment
+from repro.analyze.reduce import reduce_experiment, reduce_path
 from repro.collect.collector import CollectConfig, collect
 from repro.collect.experiment import Experiment, MANIFEST_NAME
 from repro.errors import ExperimentCorrupt, ExperimentError, SimulatedCrash
 from repro.faults import FaultPlan
+from tests.conftest import MISTYPED_HWC_FIELDS, tamper_journal_line
 
 SRC = """
 struct cell { long v; long pad1; long pad2; long pad3; };
@@ -171,6 +172,29 @@ class TestSalvageOpen:
         exp = Experiment.open(saved, strict=False)
         reduced = reduce_experiment(exp)
         assert not run_command(reduced, "functions", []).startswith("(Incomplete)")
+
+
+@pytest.mark.parametrize("field,value", MISTYPED_HWC_FIELDS)
+class TestMistypedJournalLine:
+    """A journal line of valid JSON with one field of the wrong type, in
+    a directory whose manifest was re-sealed over it: salvage skips the
+    line and flags the profile, strict mode names file and line."""
+
+    def test_reduce_skips_line_and_flags_incomplete(self, saved, field, value):
+        tamper_journal_line(saved, "hwc0.jsonl", field, value, lineno=2)
+        reduced = reduce_path(saved, use_cache=False)
+        assert reduced.incomplete
+        assert "hwc0.jsonl: skipped 1/" in reduced.incomplete_reason
+        exp = Experiment.open(saved, strict=False)
+        assert exp.salvage.files["hwc0.jsonl"].lines_skipped == 1
+        assert field in exp.salvage.files["hwc0.jsonl"].first_error
+
+    def test_strict_open_names_file_and_line(self, saved, field, value):
+        tamper_journal_line(saved, "hwc0.jsonl", field, value, lineno=2)
+        with pytest.raises(ExperimentCorrupt) as info:
+            Experiment.open(saved, strict=True)
+        assert info.value.file == "hwc0.jsonl"
+        assert info.value.line == 2
 
 
 def _corrupt_none(path):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro import build_executable, tiny_config
+from repro.ioutil import sha256_file
 from repro.kernel.process import Process
 
 
@@ -77,3 +81,32 @@ def tiny():
 @pytest.fixture
 def runner():
     return run_source
+
+
+#: one field of a journal line set to a value of the wrong JSON type, as
+#: (field, value) — each must fail the event decoders closed
+MISTYPED_HWC_FIELDS = [
+    ("weight", "x"),
+    ("callstack", "abc"),
+    ("trap_pc", None),
+    ("counter", True),
+]
+
+
+def tamper_journal_line(directory, filename: str, field: str, value,
+                        lineno: int = 1) -> None:
+    """Set ``field`` of line ``lineno`` of a saved experiment's journal
+    to ``value``, then re-seal ``manifest.json`` over the edit, so only
+    the event decoder can notice the damage."""
+    path = Path(directory) / filename
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[lineno - 1])
+    record[field] = value
+    lines[lineno - 1] = json.dumps(record, separators=(",", ":")) + "\n"
+    path.write_text("".join(lines))
+    manifest_file = Path(directory) / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    manifest["files"][filename].update(
+        bytes=path.stat().st_size, sha256=sha256_file(path)
+    )
+    manifest_file.write_text(json.dumps(manifest, indent=2))

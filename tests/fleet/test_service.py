@@ -17,6 +17,8 @@ from repro.fleet.spool import (
 )
 from repro.fleet.store import wal_records
 
+from tests.conftest import MISTYPED_HWC_FIELDS, tamper_journal_line
+
 from .conftest import quarantine_facts
 
 
@@ -94,6 +96,20 @@ class TestIngest:
             (bad.sub_id, QUARANTINE_UNDECODABLE)
         }
         assert FleetService(fleet_root).query()[0]["experiments"] == 1
+
+    @pytest.mark.parametrize("field,value", MISTYPED_HWC_FIELDS)
+    def test_mistyped_journal_line_degrades_not_fatal(
+            self, fleet_root, fresh_experiments, field, value):
+        # a valid-JSON line of the wrong types under a re-sealed manifest:
+        # the decoder skips it, so the submission merges as incomplete
+        # instead of raising out of the drain loop
+        tamper_journal_line(fresh_experiments["a"], "hwc0.jsonl", field, value)
+        service = FleetService(fleet_root, owner="w1")
+        service.submit(fresh_experiments["a"])
+        (outcome,) = service.drain()
+        assert outcome.status == "merged"
+        assert outcome.incomplete
+        assert service.query()[0]["incomplete"] == 1
 
     def test_deadline_quarantines_with_timeout_code(self, fleet_root,
                                                     fresh_experiments):
