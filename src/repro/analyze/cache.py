@@ -41,7 +41,8 @@ from ..collect.experiment import (
     Experiment,
     _sha256_file,
 )
-from ..ioutil import atomic_write_text
+from ..errors import AnalysisError
+from ..ioutil import atomic_write_text, canonical_json
 from .model import ReducedData
 
 #: the single cache artifact inside ``<exp>.er/cache/``
@@ -55,15 +56,11 @@ def cache_path(directory) -> Path:
 
 def cache_key(manifest: dict) -> str:
     """Deterministic key for a sealed experiment's current contents."""
-    basis = json.dumps(
-        {
-            "format_version": manifest.get("format_version", 0),
-            "files": manifest.get("files", {}),
-            "payload_version": ReducedData.PAYLOAD_VERSION,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    basis = canonical_json({
+        "format_version": manifest.get("format_version", 0),
+        "files": manifest.get("files", {}),
+        "payload_version": ReducedData.PAYLOAD_VERSION,
+    })
     return hashlib.sha256(basis.encode()).hexdigest()
 
 
@@ -116,8 +113,8 @@ def load(directory) -> Optional[ReducedData]:
             raise ValueError("experiment changed since the cache was written")
         if not _files_match_manifest(path, manifest):
             raise ValueError("experiment corrupt (checksum mismatch)")
-        return ReducedData.from_payload(record["payload"])
-    except (ValueError, KeyError, TypeError):
+        return ReducedData.from_payload(record.get("payload"))
+    except (ValueError, AnalysisError):
         invalidate(path)
         return None
 

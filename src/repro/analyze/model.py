@@ -23,9 +23,13 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from ..compiler.program import Program
+from ..errors import AnalysisError
+from ..ioutil import canonical_json
 
 # pseudo data objects (paper §3.2.5)
 UNSPECIFIED = "(Unspecified)"
@@ -40,8 +44,7 @@ UNKNOWN = "<Unknown>"
 UNKNOWN_KINDS = (UNSPECIFIED, UNRESOLVABLE, UNASCERTAINABLE, UNIDENTIFIED, UNVERIFIABLE)
 
 
-@dataclass(frozen=True)
-class DataObjectKey:
+class DataObjectKey(NamedTuple):
     """One row of the member-level data-object profile (Figure 7)."""
 
     object_class: str   # "structure:node"
@@ -50,15 +53,14 @@ class DataObjectKey:
     member_type: str
 
 
-class MetricVector(defaultdict):
-    """metric id -> raw count; behaves like a defaultdict(float)."""
+class MetricVector(dict):
+    """metric id -> raw count; a missing metric reads (and is stored) as 0.0."""
 
-    def __init__(self, *args) -> None:
-        # unpickling hands the default factory back as the first argument
-        # (defaultdict.__reduce__); drop it — the factory is always float
-        if args and args[0] is float:
-            args = args[1:]
-        super().__init__(float, *args)
+    __slots__ = ()
+
+    def __missing__(self, metric_id: str) -> float:
+        self[metric_id] = 0.0
+        return 0.0
 
     def add(self, metric_id: str, value: float) -> None:
         """Accumulate into one metric."""
@@ -84,8 +86,107 @@ class PCRecord:
     member: str = ""
 
 
+class Table(NamedTuple):
+    """One keyed :class:`MetricVector` table.  A payload row is ``[*key
+    fields, metrics]``; a one-field key stays bare, wider ones are built
+    with ``key(*fields)``.  ``key_types`` gives each field's JSON type."""
+
+    attr: str
+    key_types: tuple
+    key: type = tuple
+
+    def encode(self, table: dict) -> list:
+        if len(self.key_types) == 1:
+            return [[key, dict(vector)] for key, vector in table.items()]
+        return [[*key, dict(vector)] for key, vector in table.items()]
+
+    def decode(self, rows) -> dict:
+        *fields, vectors = _columns(rows, self.attr,
+                                    (*self.key_types, MetricVector))
+        keys = (fields[0] if len(fields) == 1 else zip(*fields)
+                if self.key is tuple else map(self.key, *fields))
+        return defaultdict(MetricVector, zip(keys, map(MetricVector, vectors)))
+
+
+#: The reduction's keyed tables, in payload order: first those keyed by
+#: program structure, then (after the sample lists and ``line_bytes``)
+#: the address- and thread-keyed data-space axes of paper §4.
+CODE_TABLES = (
+    Table("functions", (str,)),               # exclusive, by function
+    Table("functions_incl", (str,)),          # inclusive, via callstacks
+    Table("caller_callee", (str, str)),
+    Table("lines", (str, int)),               # (function, line)
+    Table("data_objects", (str,)),            # memory metrics per class
+    Table("data_members", (str, int, str, str), DataObjectKey),
+)
+SPACE_TABLES = (
+    Table("cache_lines", (int,)),             # E$ line base
+    Table("pages", (str, int)),               # (segment, page base)
+    Table("cache_line_objects", (int, str)),  # (line base, object label)
+    Table("page_objects", (str, int, str)),
+    Table("threads", (int,)),                 # empty for single-core runs
+    #: (line base, writing thread) of store-triggered coherence events:
+    #: the cross-thread write traffic behind the false-sharing report
+    Table("cache_line_writers", (int, int)),
+)
+TABLES = CODE_TABLES + SPACE_TABLES
+#: metric id -> list of ``[value, weight]`` samples: effective addresses,
+#: and load latencies from the SPE-style ``ldlat`` counter
+SAMPLES = ("address_samples", "latency_samples")
+
+_NUMBER = (int, float)
+#: the payload's scalar fields and their JSON types
+_SCALARS = (("clock_hz", _NUMBER), ("code_len", int), ("line_bytes", int),
+            ("incomplete", bool), ("incomplete_reason", str))
+
+
+def _check(values, allowed, where: str) -> None:
+    """Every value of an ``allowed`` type (a type, a tuple of types, or
+    ``MetricVector``: an object of numbers), or :class:`AnalysisError`.
+    C-level sweeps over ``type``: ``bool`` never passes as a number."""
+    kinds = set(map(type, values))
+    if allowed is MetricVector:
+        if kinds <= {dict} and set(map(type, chain.from_iterable(
+                map(dict.values, values)))) <= {int, float}:
+            return
+        expected = "an object of numbers"
+    else:
+        allowed = allowed if type(allowed) is tuple else (allowed,)
+        if kinds.issubset(allowed):
+            return
+        expected = " or ".join(kind.__name__ for kind in allowed)
+    raise AnalysisError(f"reduction payload: {where} is not {expected}")
+
+
+def _field(payload: dict, name: str, allowed=None):
+    """One top-level field: present, and of an allowed type when given."""
+    if name not in payload:
+        raise AnalysisError(f"reduction payload: {name} is missing")
+    if allowed is not None:
+        _check((payload[name],), allowed, name)
+    return payload[name]
+
+
+def _rows(rows, where: str, width: int) -> None:
+    """A list of lists of ``width`` fields each."""
+    _check((rows,), list, where)
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
+        raise AnalysisError(f"reduction payload: {where} has a row "
+                            f"that is not {width} fields")
+
+
+def _columns(rows, where: str, types: tuple) -> list:
+    """The columns of a list of ``len(types)``-field rows, each checked."""
+    _rows(rows, where, len(types))
+    columns = list(zip(*rows)) or [()] * len(types)
+    for position, allowed in enumerate(types):
+        _check(columns[position], allowed, f"{where}[*][{position}]")
+    return columns
+
+
 class ReducedData:
-    """Everything the analyzer computed from one (or merged) experiments."""
+    """Everything the analyzer computed from one (or merged) experiments:
+    the attributes set below plus the :data:`TABLES` and :data:`SAMPLES`."""
 
     def __init__(self, program: Optional[Program], clock_hz: float) -> None:
         self.program = program
@@ -94,41 +195,12 @@ class ReducedData:
         self.metric_ids: list[str] = []
         self.total = MetricVector()
         self.pcs: dict[int, PCRecord] = {}
-        #: function name -> exclusive metrics
-        self.functions: dict[str, MetricVector] = defaultdict(MetricVector)
-        #: function name -> inclusive metrics (via callstacks)
-        self.functions_incl: dict[str, MetricVector] = defaultdict(MetricVector)
-        #: (caller, callee) -> attributed metrics
-        self.caller_callee: dict[tuple, MetricVector] = defaultdict(MetricVector)
-        #: (function name, line) -> exclusive metrics
-        self.lines: dict[tuple, MetricVector] = defaultdict(MetricVector)
-        #: data object class -> metrics (only memory metrics land here)
-        self.data_objects: dict[str, MetricVector] = defaultdict(MetricVector)
-        #: member-level rows
-        self.data_members: dict[DataObjectKey, MetricVector] = defaultdict(MetricVector)
-        #: effective addresses per metric: list of (ea, weight) samples
-        self.address_samples: dict[str, list] = defaultdict(list)
-        #: sampled load latencies per metric: list of (latency_cycles,
-        #: weight) pairs, fed by the SPE-style ``ldlat`` counter
-        self.latency_samples: dict[str, list] = defaultdict(list)
+        for table in TABLES:
+            setattr(self, table.attr, defaultdict(MetricVector))
+        for name in SAMPLES:
+            setattr(self, name, defaultdict(list))
         #: E$ line size used for the cache-line axis (machine geometry)
         self.line_bytes: int = 512
-        #: cache-line base address -> metrics (data-space axis, §4)
-        self.cache_lines: dict[int, MetricVector] = defaultdict(MetricVector)
-        #: (segment name, page base address) -> metrics (data-space axis)
-        self.pages: dict[tuple, MetricVector] = defaultdict(MetricVector)
-        #: (line base, data-object label) -> metrics: which objects/members
-        #: live on each hot line
-        self.cache_line_objects: dict[tuple, MetricVector] = defaultdict(MetricVector)
-        #: (segment name, page base, data-object label) -> metrics
-        self.page_objects: dict[tuple, MetricVector] = defaultdict(MetricVector)
-        #: software thread id -> metrics (empty for single-core runs, whose
-        #: journals carry no thread axis)
-        self.threads: dict[int, MetricVector] = defaultdict(MetricVector)
-        #: (cache-line base, writing thread id) -> metrics for coherence
-        #: events whose candidate instruction is a *store*: the
-        #: cross-thread write traffic behind the false-sharing report
-        self.cache_line_writers: dict[tuple, MetricVector] = defaultdict(MetricVector)
         #: ground truth totals from the experiment info (for validation)
         self.machine_totals: dict[str, float] = {}
         #: segments recorded at collection (name, base, size, page_bytes)
@@ -229,30 +301,14 @@ class ReducedData:
                           and record.member):
                         if not target.member or record.member < target.member:
                             target.member = record.member
-            for table_name in (
-                "functions",
-                "functions_incl",
-                "lines",
-                "data_objects",
-                "cache_lines",
-                "pages",
-                "cache_line_objects",
-                "page_objects",
-                "threads",
-                "cache_line_writers",
-            ):
-                table = getattr(source, table_name)
-                out_table = getattr(out, table_name)
-                for key, vector in table.items():
-                    out_table[key] = out_table[key].merged_with(vector)
-            for key, vector in source.caller_callee.items():
-                out.caller_callee[key] = out.caller_callee[key].merged_with(vector)
-            for key, vector in source.data_members.items():
-                out.data_members[key] = out.data_members[key].merged_with(vector)
-            for metric_id, samples in source.address_samples.items():
-                out.address_samples[metric_id].extend(samples)
-            for metric_id, samples in source.latency_samples.items():
-                out.latency_samples[metric_id].extend(samples)
+            for table in TABLES:
+                merged = getattr(out, table.attr)
+                for key, vector in getattr(source, table.attr).items():
+                    merged[key] = merged[key].merged_with(vector)
+            for name in SAMPLES:
+                merged = getattr(out, name)
+                for metric_id, samples in getattr(source, name).items():
+                    merged[metric_id].extend(samples)
             for key, value in source.machine_totals.items():
                 out.machine_totals[key] = max(out.machine_totals.get(key, 0.0), value)
             out.counter_info.extend(source.counter_info)
@@ -316,54 +372,23 @@ class ReducedData:
         Insertion order of every table is preserved, so a reduction loaded
         back with :meth:`from_payload` renders byte-identical reports.
         """
-        def vec(vector: MetricVector) -> dict:
-            return dict(vector)
-
         return {
             "version": self.PAYLOAD_VERSION,
             "clock_hz": self.clock_hz,
             "code_len": self.code_len,
             "metric_ids": list(self.metric_ids),
-            "total": vec(self.total),
+            "total": dict(self.total),
             "pcs": [
-                [r.pc, vec(r.metrics), r.is_branch_target_artifact,
+                [r.pc, dict(r.metrics), r.is_branch_target_artifact,
                  r.data_object, r.member]
                 for r in self.pcs.values()
             ],
-            "functions": [[k, vec(v)] for k, v in self.functions.items()],
-            "functions_incl": [
-                [k, vec(v)] for k, v in self.functions_incl.items()
-            ],
-            "caller_callee": [
-                [k[0], k[1], vec(v)] for k, v in self.caller_callee.items()
-            ],
-            "lines": [[k[0], k[1], vec(v)] for k, v in self.lines.items()],
-            "data_objects": [[k, vec(v)] for k, v in self.data_objects.items()],
-            "data_members": [
-                [k.object_class, k.offset, k.member, k.member_type, vec(v)]
-                for k, v in self.data_members.items()
-            ],
-            "address_samples": {
-                metric: [[ea, weight] for ea, weight in samples]
-                for metric, samples in self.address_samples.items()
-            },
-            "latency_samples": {
-                metric: [[latency, weight] for latency, weight in samples]
-                for metric, samples in self.latency_samples.items()
-            },
+            **{t.attr: t.encode(getattr(self, t.attr)) for t in CODE_TABLES},
+            **{name: {metric: list(map(list, samples))
+                      for metric, samples in getattr(self, name).items()}
+               for name in SAMPLES},
             "line_bytes": self.line_bytes,
-            "cache_lines": [[k, vec(v)] for k, v in self.cache_lines.items()],
-            "pages": [[k[0], k[1], vec(v)] for k, v in self.pages.items()],
-            "cache_line_objects": [
-                [k[0], k[1], vec(v)] for k, v in self.cache_line_objects.items()
-            ],
-            "page_objects": [
-                [k[0], k[1], k[2], vec(v)] for k, v in self.page_objects.items()
-            ],
-            "threads": [[k, vec(v)] for k, v in self.threads.items()],
-            "cache_line_writers": [
-                [k[0], k[1], vec(v)] for k, v in self.cache_line_writers.items()
-            ],
+            **{t.attr: t.encode(getattr(self, t.attr)) for t in SPACE_TABLES},
             "machine_totals": dict(self.machine_totals),
             "segments": [list(s) for s in self.segments],
             "allocations": [list(a) for a in self.allocations],
@@ -392,34 +417,15 @@ class ReducedData:
         payload["metric_ids"] = sorted(payload["metric_ids"],
                                        key=metric_sort_key)
         payload["pcs"] = sorted(payload["pcs"], key=lambda row: row[0])
-        for table in ("functions", "functions_incl", "data_objects",
-                      "cache_lines", "threads"):
-            payload[table] = sorted(payload[table], key=lambda row: row[0])
-        for table in ("caller_callee", "lines", "pages",
-                      "cache_line_objects", "cache_line_writers"):
-            payload[table] = sorted(payload[table], key=lambda row: row[:2])
-        payload["page_objects"] = sorted(
-            payload["page_objects"], key=lambda row: row[:3]
-        )
-        payload["data_members"] = sorted(
-            payload["data_members"], key=lambda row: row[:4]
-        )
-        payload["address_samples"] = {
-            metric: sorted(samples)
-            for metric, samples in sorted(payload["address_samples"].items())
-        }
-        payload["latency_samples"] = {
-            metric: sorted(samples)
-            for metric, samples in sorted(payload["latency_samples"].items())
-        }
-        payload["counter_info"] = sorted(
-            {
-                json.dumps(info, sort_keys=True)
-                for info in payload["counter_info"]
-            }
-        )
+        for table in TABLES:
+            payload[table.attr].sort(key=itemgetter(slice(len(table.key_types))))
+        for name in SAMPLES:
+            payload[name] = {metric: sorted(samples) for metric, samples
+                             in sorted(payload[name].items())}
         payload["counter_info"] = [
-            json.loads(text) for text in payload["counter_info"]
+            json.loads(text) for text in sorted(
+                {canonical_json(info) for info in payload["counter_info"]}
+            )
         ]
         payload["segments"] = sorted(payload["segments"])
         payload["allocations"] = sorted(payload["allocations"])
@@ -430,64 +436,42 @@ class ReducedData:
         return payload
 
     @classmethod
-    def from_payload(cls, payload: dict,
+    def from_payload(cls, payload,
                      program: Optional[Program] = None) -> "ReducedData":
-        """Rebuild a reduction from :meth:`to_payload` output."""
+        """Rebuild a reduction from :meth:`to_payload` output — the one
+        reader of the payload format.  Fail-closed: a missing or mistyped
+        field, a row of the wrong width or a mistyped key, metric or sample
+        raises :class:`AnalysisError` naming the field."""
+        if type(payload) is not dict:
+            raise AnalysisError("reduction payload is not an object")
         if payload.get("version") != cls.PAYLOAD_VERSION:
-            raise ValueError(
-                f"reduction payload v{payload.get('version')} "
-                f"!= v{cls.PAYLOAD_VERSION}"
-            )
-        out = cls(program, payload["clock_hz"])
-        out.code_len = payload.get("code_len", out.code_len)
-        out.metric_ids = list(payload["metric_ids"])
-        out.total = MetricVector(payload["total"])
-        for pc, metrics, artifact, data_object, member in payload["pcs"]:
-            record = PCRecord(pc, MetricVector(metrics), artifact,
-                              data_object, member)
-            out.pcs[pc] = record
-        for key, metrics in payload["functions"]:
-            out.functions[key] = MetricVector(metrics)
-        for key, metrics in payload["functions_incl"]:
-            out.functions_incl[key] = MetricVector(metrics)
-        for caller, callee, metrics in payload["caller_callee"]:
-            out.caller_callee[(caller, callee)] = MetricVector(metrics)
-        for func, line, metrics in payload["lines"]:
-            out.lines[(func, line)] = MetricVector(metrics)
-        for key, metrics in payload["data_objects"]:
-            out.data_objects[key] = MetricVector(metrics)
-        for object_class, offset, member, member_type, metrics in payload[
-            "data_members"
-        ]:
-            key = DataObjectKey(object_class, offset, member, member_type)
-            out.data_members[key] = MetricVector(metrics)
-        for metric, samples in payload["address_samples"].items():
-            out.address_samples[metric] = [
-                (ea, weight) for ea, weight in samples
-            ]
-        for metric, samples in payload.get("latency_samples", {}).items():
-            out.latency_samples[metric] = [
-                (latency, weight) for latency, weight in samples
-            ]
-        out.line_bytes = payload["line_bytes"]
-        for base, metrics in payload["cache_lines"]:
-            out.cache_lines[base] = MetricVector(metrics)
-        for segment, base, metrics in payload["pages"]:
-            out.pages[(segment, base)] = MetricVector(metrics)
-        for base, label, metrics in payload["cache_line_objects"]:
-            out.cache_line_objects[(base, label)] = MetricVector(metrics)
-        for segment, base, label, metrics in payload["page_objects"]:
-            out.page_objects[(segment, base, label)] = MetricVector(metrics)
-        for tid, metrics in payload.get("threads", []):
-            out.threads[tid] = MetricVector(metrics)
-        for base, tid, metrics in payload.get("cache_line_writers", []):
-            out.cache_line_writers[(base, tid)] = MetricVector(metrics)
-        out.machine_totals = dict(payload["machine_totals"])
-        out.segments = [tuple(s) for s in payload["segments"]]
-        out.allocations = [tuple(a) for a in payload["allocations"]]
-        out.counter_info = list(payload["counter_info"])
-        out.incomplete = payload["incomplete"]
-        out.incomplete_reason = payload["incomplete_reason"]
+            raise AnalysisError(f"reduction payload v{payload.get('version')}"
+                                f" != v{cls.PAYLOAD_VERSION}")
+        out = cls(program, 0.0)
+        for name, allowed in _SCALARS:
+            setattr(out, name, _field(payload, name, allowed))
+        for name, item in (("metric_ids", str), ("counter_info", dict)):
+            setattr(out, name, list(_field(payload, name, list)))
+            _check(getattr(out, name), item, f"{name}[*]")
+        out.total = MetricVector(_field(payload, "total", MetricVector))
+        out.machine_totals = dict(_field(payload, "machine_totals", MetricVector))
+        pcs, vectors, artifacts, objects, members = _columns(
+            _field(payload, "pcs"), "pcs", (int, MetricVector, bool, str, str))
+        out.pcs = dict(zip(pcs, map(PCRecord, pcs, map(MetricVector, vectors),
+                                    artifacts, objects, members)))
+        for table in TABLES:
+            setattr(out, table.attr, table.decode(_field(payload, table.attr)))
+        for name in SAMPLES:
+            samples = getattr(out, name)
+            for metric, pairs in _field(payload, name, dict).items():
+                _rows(pairs, f"{name}[{metric!r}]", 2)
+                _check(chain.from_iterable(pairs), _NUMBER,
+                       f"{name}[{metric!r}][*][*]")
+                samples[metric] = list(pairs)
+        for name, types in (("segments", (str, int, int, int)),
+                            ("allocations", (int,) * 5)):
+            setattr(out, name, list(zip(*_columns(
+                _field(payload, name), name, types))))
         return out
 
 

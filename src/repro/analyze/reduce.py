@@ -126,7 +126,7 @@ class _Reducer:
             caller = self._function_name(call_site)
             chain.append(caller or f"<unknown 0x{call_site:x}>")
         chain.append(leaf)
-        for name in set(chain):
+        for name in dict.fromkeys(chain):
             reduced.functions_incl[name].add(metric_id, weight)
         for caller, callee in zip(chain, chain[1:]):
             reduced.caller_callee[(caller, callee)].add(metric_id, weight)
@@ -223,7 +223,7 @@ class _Reducer:
 
         if event.latency is not None:
             self.reduced.latency_samples[metric_id].append(
-                (event.latency, weight)
+                [event.latency, weight]
             )
 
         if event.status == "disabled":
@@ -259,7 +259,7 @@ class _Reducer:
 
         if event.effective_address is not None:
             self.reduced.address_samples[metric_id].append(
-                (event.effective_address, weight)
+                [event.effective_address, weight]
             )
             self._account_data_space(
                 metric_id, weight, event.effective_address, object_class, key

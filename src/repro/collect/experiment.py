@@ -380,6 +380,50 @@ class ExperimentInfo:
     trace_stats: dict = field(default_factory=dict)
 
 
+def _row(*types):
+    """Item check: a list of exactly these JSON types."""
+    return lambda row: type(row) is list and tuple(map(type, row)) == types
+
+
+#: info.json's JSON types by ExperimentInfo field annotation (``bool``
+#: never passes as a number) ...
+_INFO_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+               "bool": (bool,), "list": (list,), "dict": (dict,)}
+#: ... and a check for each item of a container field (a dict's values)
+_INFO_ITEMS = {
+    "counters": lambda counter: type(counter) is dict,
+    "totals": lambda total: type(total) in (int, float),
+    "segments": _row(str, int, int, int),
+    "allocations": _row(int, int, int, int, int),
+}
+
+
+def _info_from_record(record) -> ExperimentInfo:
+    """Type-check a parsed info.json into an :class:`ExperimentInfo`.
+
+    Unknown keys are ignored and absent fields keep their default (older
+    experiments predate some fields); a value of the wrong JSON type
+    raises ``ValueError`` naming the field, so a mistyped geometry or
+    ground truth never reaches a reduction.
+    """
+    if type(record) is not dict:
+        raise ValueError("not a JSON object")
+    values = {}
+    for info_field in fields(ExperimentInfo):
+        name = info_field.name
+        if name not in record:
+            continue
+        value = record[name]
+        item_ok = _INFO_ITEMS.get(name)
+        if type(value) not in _INFO_TYPES[info_field.type] or (
+                item_ok is not None and not all(map(
+                    item_ok, value.values() if type(value) is dict else value))):
+            raise ValueError(
+                f"{name} is mistyped: {json.dumps(value)[:80]}")
+        values[name] = value
+    return ExperimentInfo(**values)
+
+
 # ---------------------------------------------------------------- salvage
 
 @dataclass
@@ -819,12 +863,9 @@ class Experiment:
         info_file = path / "info.json"
         if info_file.exists():
             try:
-                record = json.loads(info_file.read_text(errors="replace"))
-                known = {f.name for f in fields(ExperimentInfo)}
-                exp.info = ExperimentInfo(
-                    **{k: v for k, v in record.items() if k in known}
-                )
-            except (ValueError, TypeError) as error:
+                exp.info = _info_from_record(
+                    json.loads(info_file.read_text(errors="replace")))
+            except ValueError as error:
                 if strict:
                     raise ExperimentCorrupt(
                         f"bad info.json: {error}", file="info.json"

@@ -28,17 +28,16 @@ from __future__ import annotations
 import shutil
 from pathlib import Path
 
-from ..analyze.model import ReducedData
 from ..errors import StoreCorrupt
 from .spool import REASON_CODES, FleetPaths, quarantined
 from .store import (
     DEFAULT_LOCK_TTL,
     AggregateKey,
+    aggregate_reduction,
     list_aggregates,
     load_aggregate,
     serialize_aggregate,
     stale_locks,
-    wal_checkpoint,
     wal_pending,
     wal_records,
 )
@@ -215,8 +214,8 @@ def _check_aggregates(paths: FleetPaths, lines: list) -> int:
         if record is None:
             continue
         try:
-            rebuilt = ReducedData.from_payload(record["payload"])
-        except (KeyError, TypeError, ValueError) as error:
+            rebuilt = aggregate_reduction(record, token)
+        except StoreCorrupt as error:
             problems += 1
             lines.append(
                 f"  aggregates: {token}: payload does not rebuild: {error}")

@@ -63,6 +63,7 @@ from .store import (
     DEFAULT_LOCK_TTL,
     AggregateKey,
     KeyLock,
+    aggregate_reduction,
     commit_aggregate,
     ledger_has,
     list_aggregates,
@@ -346,12 +347,12 @@ class FleetService:
             return self._finish_duplicate(
                 outcome, "raced another worker to the merge")
         experiments = dict(existing["experiments"]) if existing else {}
+        # a damaged aggregate raises StoreCorrupt here, before the merge:
+        # only a genuine program mismatch is the submission's fault
+        base = (None if existing is None
+                else aggregate_reduction(existing, key.token()))
         try:
-            if existing is None:
-                merged = reduced
-            else:
-                merged = ReducedData.from_payload(
-                    existing["payload"]).merged_with(reduced)
+            merged = reduced if base is None else base.merged_with(reduced)
         except ValueError as error:
             return self._quarantine(
                 outcome, QUARANTINE_PROGRAM_MISMATCH, str(error))
@@ -438,7 +439,6 @@ class FleetService:
         for token, record in list_aggregates(self.paths):
             key = record["key"]
             experiments = record["experiments"]
-            payload = record["payload"]
             rows.append({
                 "token": token,
                 "program": key["program"],
@@ -450,7 +450,7 @@ class FleetService:
                     1 for meta in experiments.values()
                     if meta.get("incomplete")
                 ),
-                "total": dict(payload.get("total", {})),
+                "total": dict(aggregate_reduction(record, token).total),
             })
         return rows
 
@@ -461,23 +461,26 @@ class FleetService:
         the top data objects by absolute change in *share* of ``metric``.
         """
         by_base: dict = {}
-        for _token, record in list_aggregates(self.paths):
+        for token, record in list_aggregates(self.paths):
             key = record["key"]
             if program is not None and key["program"] != program:
                 continue
             if workload is not None and key["workload"] != workload:
                 continue
             base = (key["program"], key["workload"], key["counters"])
-            by_base.setdefault(base, {})[key["window"]] = record
+            by_base.setdefault(base, {})[key["window"]] = (record, token)
         diffs = []
         for base in sorted(by_base):
             windows = by_base[base]
             if window_a not in windows or window_b not in windows:
                 continue
-            rows = _object_share_diff(
-                windows[window_a]["payload"], windows[window_b]["payload"],
-                metric,
-            )
+            shares_a, shares_b = (
+                _object_shares(aggregate_reduction(*windows[window]), metric)
+                for window in (window_a, window_b))
+            rows = [
+                DiffRow(name, shares_a.get(name, 0.0), shares_b.get(name, 0.0))
+                for name in sorted(set(shares_a) | set(shares_b))
+            ]
             rows.sort(key=lambda row: (-abs(row.delta), row.data_object))
             diffs.append(KeyDiff(
                 program=base[0], workload=base[1], counters=base[2],
@@ -487,23 +490,13 @@ class FleetService:
         return diffs
 
 
-def _object_share_diff(payload_a: dict, payload_b: dict,
-                       metric: str) -> list:
-    """Per-data-object share of one metric, in A and in B."""
-    def shares(payload: dict) -> dict:
-        total = float(payload.get("total", {}).get(metric, 0.0))
-        out = {}
-        for name, metrics in payload.get("data_objects", []):
-            value = float(metrics.get(metric, 0.0))
-            out[name] = (value / total) if total else 0.0
-        return out
-
-    shares_a = shares(payload_a)
-    shares_b = shares(payload_b)
-    return [
-        DiffRow(name, shares_a.get(name, 0.0), shares_b.get(name, 0.0))
-        for name in sorted(set(shares_a) | set(shares_b))
-    ]
+def _object_shares(reduced: ReducedData, metric: str) -> dict:
+    """Data object -> its share of one metric's total."""
+    total = reduced.total.get(metric, 0.0)
+    return {
+        name: (vector.get(metric, 0.0) / total) if total else 0.0
+        for name, vector in reduced.data_objects.items()
+    }
 
 
 __all__ = [

@@ -27,9 +27,10 @@ converge on the same final bytes because aggregate payloads are
 *canonical* (order-independent serialization, see
 :meth:`ReducedData.canonical_payload`).
 
-Every aggregate records its format versions; a version mismatch is
-surfaced as :class:`~repro.errors.StoreCorrupt` instead of being merged
-into silently.
+Every aggregate records its format versions; a version mismatch, or a
+payload :meth:`ReducedData.from_payload` rejects, is surfaced as
+:class:`~repro.errors.StoreCorrupt` instead of being merged into
+silently.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..analyze.model import ReducedData
-from ..errors import StoreCorrupt
+from ..errors import AnalysisError, StoreCorrupt
 from ..ioutil import append_line, atomic_write_bytes, canonical_json
 from .retry import RetryPolicy, call_with_retries
 from .spool import FleetPaths
@@ -69,10 +70,8 @@ class AggregateKey:
 
     def token(self) -> str:
         """Filesystem-safe digest naming this key's aggregate file."""
-        basis = json.dumps(
-            [self.program, self.workload, self.counters, self.window],
-            separators=(",", ":"),
-        )
+        basis = canonical_json(
+            [self.program, self.workload, self.counters, self.window])
         return hashlib.sha256(basis.encode()).hexdigest()[:16]
 
     def base(self) -> tuple:
@@ -119,9 +118,11 @@ def serialize_aggregate(key: AggregateKey, experiments: dict,
 def load_aggregate(paths: FleetPaths, token: str) -> Optional[dict]:
     """Parsed aggregate record for one key token, or None when absent.
 
-    Damage — undecodable JSON, a record written by a newer format, a
-    payload the current reducer cannot rebuild — raises
-    :class:`StoreCorrupt` so the caller refuses to merge on top of it.
+    Damage — undecodable JSON, a record written by another format, no
+    ledger — raises :class:`StoreCorrupt` so the caller refuses to merge
+    on top of it.  The payload is left undecoded (the ledger checks on
+    every submit and ingest need only the ledger); read it through
+    :func:`aggregate_reduction`.
     """
     file = aggregate_path(paths, token)
     if not file.exists():
@@ -145,6 +146,16 @@ def load_aggregate(paths: FleetPaths, token: str) -> Optional[dict]:
     if not isinstance(record.get("experiments"), dict):
         raise StoreCorrupt(f"aggregate {token}: ledger missing")
     return record
+
+
+def aggregate_reduction(record: dict, token: str) -> ReducedData:
+    """The reduction stored in a loaded aggregate record.  A payload the
+    decoder rejects is :class:`StoreCorrupt` for that aggregate — damage
+    for ``fsck``, never blamed on the submission being merged into it."""
+    try:
+        return ReducedData.from_payload(record.get("payload"))
+    except AnalysisError as error:
+        raise StoreCorrupt(f"aggregate {token}: {error}") from error
 
 
 def commit_aggregate(paths: FleetPaths, key: AggregateKey,
@@ -344,6 +355,7 @@ __all__ = [
     "KeyLock",
     "TERMINAL_OPS",
     "aggregate_path",
+    "aggregate_reduction",
     "commit_aggregate",
     "ledger_has",
     "list_aggregates",

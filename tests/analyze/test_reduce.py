@@ -1,7 +1,15 @@
-"""Tests for data reduction: attribution, validation, data objects."""
+"""Tests for data reduction: attribution, validation, data objects,
+and payload bytes that do not depend on the interpreter's hash seed."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import build_executable, tiny_config
 from repro.collect.collector import CollectConfig, collect
 from repro.collect.experiment import ClockEvent, Experiment, HwcEvent
@@ -231,3 +239,53 @@ class TestMerging:
 
         with pytest.raises(AnalysisError):
             reduce_experiments([])
+
+
+#: a four-deep call chain, so the inclusive (callstack) attribution of
+#: one event touches several function names at once
+NESTED_SRC = """
+struct rec { long a; long b; long pad1; long pad2; };
+long leaf(struct rec *arr, long n) {
+    long i; long s;
+    s = 0;
+    for (i = 0; i < n; i++) s = s + arr[i].b;
+    return s;
+}
+long inner(struct rec *arr, long n) { return leaf(arr, n) + 1; }
+long outer(struct rec *arr, long n) { return inner(arr, n) + 1; }
+long main(long *input, long n) {
+    struct rec *arr;
+    long j; long s;
+    arr = (struct rec *) malloc(2048 * sizeof(struct rec));
+    s = 0;
+    for (j = 0; j < 3; j++) s = s + outer(arr, 2048);
+    return s & 255;
+}
+"""
+
+_REDUCE_AND_PRINT = (
+    "import json, sys\n"
+    "from repro.analyze.reduce import reduce_path\n"
+    "print(json.dumps(reduce_path(sys.argv[1], use_cache=False)"
+    ".to_payload()))\n"
+)
+
+
+class TestDeterminism:
+    def test_payload_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        cfg = CollectConfig(clock_profiling=True, clock_interval=211,
+                            counters=["+ecstall,59", "+ecrm,13"])
+        saved = collect(build_executable(NESTED_SRC), tiny_config(),
+                        cfg).save(tmp_path / "nested")
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in ("1", "2"):
+            path = filter(None, [src, os.environ.get("PYTHONPATH")])
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(path))
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", _REDUCE_AND_PRINT, str(saved)],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout)
+        assert len(json.loads(outputs[0])["functions_incl"]) >= 4
+        assert outputs[0] == outputs[1]

@@ -6,6 +6,7 @@ Contracts under test:
   served from ``<exp>.er/cache/`` without invoking the reducer at all;
 * corruption and ``(Incomplete)`` experiments bypass the cache on both
   store and load, and detected staleness deletes the entry;
+* a tampered cache payload is re-reduced and rewritten, never served;
 * ``fsck`` drops a cached reduction the moment it finds damage;
 * sharded (multi-process) reduction is byte-identical to sequential.
 """
@@ -21,6 +22,8 @@ from repro.analyze.erprint import main as erprint_main
 from repro.analyze.fsck import fsck_experiment
 from repro.analyze.reduce import reduce_experiments, reduce_path
 from repro.collect.collector import CollectConfig, collect
+
+from tests.conftest import PAYLOAD_MUTATION_PARAMS
 
 SRC = """
 struct rec { long a; long b; long c; long d; };
@@ -162,6 +165,35 @@ class TestInvalidation:
         assert code == 0
         assert "cache: reduction cache present" in text
         assert reduction_cache.cache_path(experiment_dir).exists()
+
+
+class TestTamperedEntry:
+    """A cache entry whose payload fails the decoder is treated like a
+    stale one: invalidated, re-reduced, rewritten."""
+
+    @pytest.mark.parametrize("field, mutate", PAYLOAD_MUTATION_PARAMS)
+    def test_tampered_payload_re_reduces_and_rewrites(
+            self, experiment_dir, capsys, monkeypatch, field, mutate):
+        assert erprint_main([experiment_dir, "functions"]) == 0
+        clean = capsys.readouterr().out
+        file = reduction_cache.cache_path(experiment_dir)
+        clean_bytes = file.read_bytes()
+        record = json.loads(clean_bytes)
+        mutate(record["payload"])
+        file.write_text(json.dumps(record, separators=(",", ":")))
+        counter = _CountingReducer(monkeypatch)
+        assert erprint_main([experiment_dir, "functions"]) == 0
+        assert counter.calls == 1, "a tampered entry must not be served"
+        assert capsys.readouterr().out == clean
+        assert file.read_bytes() == clean_bytes
+
+    def test_cache_key_is_pinned(self):
+        manifest = {"format_version": 1, "files": {
+            "clock.jsonl": {"bytes": 10, "sha256": "ab"},
+            "hwc0.jsonl": {"bytes": 3, "sha256": "cd"},
+        }}
+        assert reduction_cache.cache_key(manifest) == (
+            "c5a9214dd82c7a86f96c0d5accafed6f5f62c5bcaded4b70d3a6104b734fce04")
 
 
 class TestShardParity:

@@ -8,6 +8,9 @@ still renders the Figure 1/Figure 6 reports under an ``(Incomplete)``
 header.
 """
 
+import json
+from dataclasses import fields
+
 import pytest
 
 from repro import build_executable, tiny_config
@@ -18,12 +21,24 @@ from repro.analyze.fsck import (
     FSCK_UNRECOVERABLE,
     fsck_experiment,
 )
+from repro.analyze.model import ReducedData
 from repro.analyze.reduce import reduce_experiment, reduce_path
 from repro.collect.collector import CollectConfig, collect
-from repro.collect.experiment import Experiment, MANIFEST_NAME
+from repro.collect.experiment import (
+    _INFO_ITEMS,
+    _INFO_TYPES,
+    Experiment,
+    ExperimentInfo,
+    MANIFEST_NAME,
+)
 from repro.errors import ExperimentCorrupt, ExperimentError, SimulatedCrash
 from repro.faults import FaultPlan
-from tests.conftest import MISTYPED_HWC_FIELDS, tamper_journal_line
+from tests.conftest import (
+    MISTYPED_HWC_FIELDS,
+    MISTYPED_INFO_FIELDS,
+    tamper_info,
+    tamper_journal_line,
+)
 
 SRC = """
 struct cell { long v; long pad1; long pad2; long pad3; };
@@ -195,6 +210,36 @@ class TestMistypedJournalLine:
             Experiment.open(saved, strict=True)
         assert info.value.file == "hwc0.jsonl"
         assert info.value.line == 2
+
+
+def test_info_schema_covers_every_field():
+    info_fields = fields(ExperimentInfo)
+    assert {f.type for f in info_fields} <= set(_INFO_TYPES)
+    assert set(_INFO_ITEMS) <= {f.name for f in info_fields}
+
+
+@pytest.mark.parametrize("field,value", MISTYPED_INFO_FIELDS)
+class TestMistypedInfo:
+    """An info.json of valid JSON with one field of the wrong type, under
+    a re-sealed manifest: strict mode names the field, salvage falls back
+    to the defaults (as for an unreadable info.json) and flags the
+    profile, so the value never reaches a reduction."""
+
+    def test_strict_open_names_the_field(self, saved, field, value):
+        tamper_info(saved, field, value)
+        with pytest.raises(ExperimentCorrupt, match=field) as info:
+            Experiment.open(saved, strict=True)
+        assert info.value.file == "info.json"
+
+    def test_salvage_uses_defaults(self, saved, field, value):
+        tamper_info(saved, field, value)
+        exp = Experiment.open(saved, strict=False)
+        assert exp.info == ExperimentInfo()
+        assert any(field in note for note in exp.salvage.damage)
+        reduced = reduce_path(saved, use_cache=False)
+        assert reduced.incomplete
+        payload = json.loads(json.dumps(reduced.canonical_payload()))
+        assert ReducedData.from_payload(payload).line_bytes == 512
 
 
 def _corrupt_none(path):

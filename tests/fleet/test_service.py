@@ -1,23 +1,35 @@
 """The ingest service: exactly-once merging, degradation, quarantine,
-timeouts, transient-fault absorption, and cross-window queries."""
+timeouts, transient-fault absorption, cross-window queries, and damaged
+aggregates."""
 
+import json
 import threading
 
 import pytest
 
 from repro.analyze.model import ReducedData
 from repro.analyze.reduce import merge_reduced, reduce_path
+from repro.errors import StoreCorrupt
 from repro.faults import FaultPlan
 from repro.fleet import FleetService
+from repro.fleet.fsck import FSCK_OK, FSCK_PROBLEMS, fsck_store
 from repro.fleet.retry import RetryPolicy
 from repro.fleet.spool import (
     QUARANTINE_IO_ERROR,
     QUARANTINE_TIMEOUT,
     QUARANTINE_UNDECODABLE,
+    pending,
 )
-from repro.fleet.store import wal_records
+from repro.fleet.store import aggregate_path, list_aggregates, wal_records
+from repro.ioutil import canonical_json
 
-from tests.conftest import MISTYPED_HWC_FIELDS, tamper_journal_line
+from tests.conftest import (
+    MISTYPED_HWC_FIELDS,
+    MISTYPED_INFO_FIELDS,
+    PAYLOAD_MUTATION_PARAMS,
+    tamper_info,
+    tamper_journal_line,
+)
 
 from .conftest import quarantine_facts
 
@@ -110,6 +122,24 @@ class TestIngest:
         assert outcome.status == "merged"
         assert outcome.incomplete
         assert service.query()[0]["incomplete"] == 1
+
+    @pytest.mark.parametrize("field,value", MISTYPED_INFO_FIELDS[:3])
+    def test_mistyped_info_never_reaches_the_store(
+            self, fleet_root, fresh_experiments, field, value):
+        # a mistyped info.json under a re-sealed manifest must not commit
+        # an aggregate the decoder rejects (that would stop every later
+        # drain and query): salvage reduces it over the info defaults
+        tamper_info(fresh_experiments["a"], field, value)
+        service = FleetService(fleet_root, owner="w1")
+        service.submit(fresh_experiments["a"])
+        (outcome,) = service.drain()
+        assert (outcome.status, outcome.incomplete) == ("merged", True)
+        service.submit(fresh_experiments["b"])
+        (outcome,) = service.drain()
+        assert outcome.status == "merged"
+        (row,) = service.query()
+        assert (row["experiments"], row["incomplete"]) == (2, 1)
+        assert fsck_store(fleet_root)[1] == FSCK_OK
 
     def test_deadline_quarantines_with_timeout_code(self, fleet_root,
                                                     fresh_experiments):
@@ -242,3 +272,43 @@ class TestQueryAndDiff:
         service.submit(fresh_experiments["b"])
         assert service.serve(poll_interval=0.0) == 2
         assert service.serve(poll_interval=0.0) == 0  # idle now
+
+
+class TestDamagedAggregate:
+    """A stored aggregate whose payload fails the decoder is store damage:
+    ``StoreCorrupt`` for its token, named by ``fsck``, and never blamed on
+    the submission being merged into it."""
+
+    @staticmethod
+    def _damage_window(service, window, mutate) -> str:
+        (token,) = [token for token, record in list_aggregates(service.paths)
+                    if record["key"]["window"] == window]
+        file = aggregate_path(service.paths, token)
+        record = json.loads(file.read_text())
+        mutate(record["payload"])
+        file.write_text(canonical_json(record))
+        return token
+
+    @pytest.mark.parametrize("field, mutate", PAYLOAD_MUTATION_PARAMS)
+    def test_damage_stops_drain_query_and_diff(
+            self, fleet_root, fresh_experiments, field, mutate):
+        service = FleetService(fleet_root, owner="w1")
+        service.submit(fresh_experiments["a"], window="w1")
+        service.submit(fresh_experiments["b"], window="w2")
+        service.drain()
+        token = self._damage_window(service, "w1", mutate)
+        incoming = service.submit(fresh_experiments["b"], window="w1")
+        assert incoming.ok
+
+        with pytest.raises(StoreCorrupt, match=f"{token}.*{field}"):
+            service.drain()
+        assert pending(service.paths) == [incoming.entry]
+        assert quarantine_facts(fleet_root) == set()
+        with pytest.raises(StoreCorrupt, match=token):
+            service.query()
+        with pytest.raises(StoreCorrupt, match=token):
+            service.diff("w1", "w2")
+
+        text, code = fsck_store(fleet_root)
+        assert code == FSCK_PROBLEMS
+        assert f"{token}: payload does not rebuild" in text

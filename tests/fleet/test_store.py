@@ -73,6 +73,13 @@ class TestAggregates:
         with pytest.raises(StoreCorrupt):
             load_aggregate(paths, KEY.token())
 
+    def test_key_tokens_are_pinned(self):
+        # the token names the aggregate file: it must never drift
+        assert AggregateKey("mcf", "trips=12", "+ecrm,13", "w1").token() \
+            == "f337a4f7735ba280"
+        assert AggregateKey('prog "x"', "\u00e9", "", "all").token() \
+            == "07b664b6cd78c94b"
+
     def test_missing_aggregate_is_none(self, paths):
         assert load_aggregate(paths, "feedfacedeadbeef") is None
 
